@@ -13,9 +13,10 @@
 //! Since the overload-autopilot work the detector is a first-class citizen
 //! of the production pipeline: its cells partition into `2^k` shards by the
 //! same deterministic spatial hash the exact detectors use
-//! (`shard_of_cell`), so it runs under `drive_sharded` with one
-//! [`GapShardWorker`] per shard, runs under `drive_incremental` (events keep
-//! every cell fresh, so the dirty-sweep is a no-op), and checkpoints through
+//! (`shard_of_cell`), so it runs under `drive_elastic` with one
+//! [`GapShardWorker`] per shard (and reshards through its checkpoint path),
+//! runs under `drive_incremental` (events keep every cell fresh, so the
+//! dirty-sweep is a no-op), and checkpoints through
 //! [`CheckpointableDetector`] — weight sums captured bit-for-bit, rank keys
 //! recomputed on restore (a pure function of the sums).
 
@@ -291,7 +292,13 @@ impl GapShardWorker<'_> {
     }
 }
 
+/// GAPS keeps every cell fresh on ingest, so a flush has nothing to sweep
+/// or steal (the trait defaults: no dirty cells, no jobs) and is a read of
+/// the shard's ranked set.
 impl ShardWorker for GapShardWorker<'_> {
+    type Job = ();
+    type Outcome = ();
+
     fn on_event(&mut self, event: &Event) {
         if !self.query.accepts(event.object.pos) {
             return;
@@ -303,7 +310,7 @@ impl ShardWorker for GapShardWorker<'_> {
         }
     }
 
-    fn flush(&mut self) -> Option<ShardAnswer> {
+    fn install_and_best(&mut self, _outcomes: Vec<()>) -> Option<ShardAnswer> {
         self.shard_answer()
     }
 
@@ -341,6 +348,23 @@ impl ShardedIngest for GapSurge {
 
     fn region_size(&self) -> RegionSize {
         self.query.region
+    }
+
+    fn mesh_shards(&self) -> usize {
+        self.shards.len()
+    }
+
+    /// Re-homes every cell through the checkpoint path: rank keys are a
+    /// pure function of the captured weight sums, so the resharded detector
+    /// answers bit-identically.
+    fn reshard(&mut self, shards: usize) {
+        let state = self.capture_state();
+        let mut fresh =
+            GapSurge::with_grid_shards(self.query, self.grid, shards.next_power_of_two());
+        fresh
+            .restore_state(&state)
+            .expect("a detector's own capture restores into a same-query twin");
+        *self = fresh;
     }
 }
 

@@ -161,16 +161,19 @@ pub struct MgapShardWorker<'a> {
 }
 
 impl ShardWorker for MgapShardWorker<'_> {
+    type Job = ();
+    type Outcome = ();
+
     fn on_event(&mut self, event: &Event) {
         for w in &mut self.inner {
             w.on_event(event);
         }
     }
 
-    fn flush(&mut self) -> Option<ShardAnswer> {
+    fn install_and_best(&mut self, _outcomes: Vec<()>) -> Option<ShardAnswer> {
         let mut best: Option<ShardAnswer> = None;
         for (gi, w) in self.inner.iter_mut().enumerate() {
-            if let Some(a) = w.flush() {
+            if let Some(a) = w.install_and_best(Vec::new()) {
                 let prioritized = ShardAnswer {
                     bound: (3 - gi) as f64,
                     ..a
@@ -223,6 +226,21 @@ impl ShardedIngest for MgapSurge {
 
     fn region_size(&self) -> RegionSize {
         self.query.region
+    }
+
+    fn mesh_shards(&self) -> usize {
+        self.grids[0].mesh_shards()
+    }
+
+    /// Re-homes all four grids through the checkpoint path (see
+    /// [`GapSurge`]'s reshard): answers continue bit-identically.
+    fn reshard(&mut self, shards: usize) {
+        let state = self.capture_state();
+        let mut fresh = MgapSurge::with_shards(self.query, shards.next_power_of_two());
+        fresh
+            .restore_state(&state)
+            .expect("a detector's own capture restores into a same-query twin");
+        *self = fresh;
     }
 }
 

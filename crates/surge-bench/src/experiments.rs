@@ -920,7 +920,7 @@ pub struct LatencyRow {
     /// Algorithm name.
     pub algo: &'static str,
     /// Per-event latency percentiles.
-    pub summary: surge_stream::LatencySummary,
+    pub summary: surge_observe::LatencySummary,
     /// Final burst score (sanity: exact rows must agree).
     pub final_score: f64,
 }
@@ -1578,15 +1578,16 @@ fn uniform_stream(objects: usize, seed: u64) -> Vec<SpatialObject> {
     surge_testkit::uniform_stream(objects, seed)
 }
 
-/// Runs the sharded driver at shard counts {1, 2, 4, 8} against the
-/// sequential incremental driver, asserting per-slide answers are
+/// Runs the static shard mesh (`drive_elastic` under
+/// [`BalancerPolicy::STATIC`](surge_stream::BalancerPolicy::STATIC)) at
+/// shard counts {1, 2, 4, 8} against the sequential incremental driver, asserting per-slide answers are
 /// **bit-identical** across every configuration before reporting timings
 /// (`surge_exp shard-bench` → `BENCH_shard.json`). Two workloads: a
 /// uniform stream (even per-cell load — the scaling case) and the Taxi
 /// stream (hot-spot skew — the single-hot-cell ceiling).
 pub fn shard_bench(cfg: &ExpConfig) -> Vec<ShardBenchRow> {
     use surge_exact::{BoundMode, CellCspot};
-    use surge_stream::{drive_incremental, drive_sharded};
+    use surge_stream::{drive_elastic, drive_incremental, BalancerPolicy};
 
     let slide = 256;
     let mut rows = Vec::new();
@@ -1631,30 +1632,22 @@ pub fn shard_bench(cfg: &ExpConfig) -> Vec<ShardBenchRow> {
         for shards in [1usize, 2, 4, 8] {
             let mut det = CellCspot::with_shards(query, BoundMode::Combined, shards);
             let t0 = std::time::Instant::now();
-            let report = drive_sharded(&mut det, windows, stream.iter().copied(), slide);
+            let report = drive_elastic(
+                &mut det,
+                windows,
+                stream.iter().copied(),
+                slide,
+                BalancerPolicy::STATIC,
+            );
             let elapsed = t0.elapsed();
 
             // Benchmarks must not time a divergent pipeline: every slide
             // answer must be bit-identical to the sequential baseline.
-            assert_eq!(report.answers.len(), seq_report.answers.len());
-            for (i, (a, b)) in report
-                .answers
-                .iter()
-                .zip(seq_report.answers.iter())
-                .enumerate()
-            {
-                match (a, b) {
-                    (Some(x), Some(y)) => assert_eq!(
-                        x.score.to_bits(),
-                        y.score.to_bits(),
-                        "shard-bench divergence at {workload}, shards={shards}, slide {i}"
-                    ),
-                    (None, None) => {}
-                    other => panic!(
-                        "shard-bench divergence at {workload}, shards={shards}, slide {i}: {other:?}"
-                    ),
-                }
-            }
+            assert_slides_bitwise(
+                report.answers.retained(),
+                seq_report.answers.retained(),
+                &format!("shard-bench {workload}, shards={shards}"),
+            );
             assert_eq!(report.sweeps, seq_report.jobs, "sweep count diverged");
 
             rows.push(ShardBenchRow {
@@ -1666,12 +1659,7 @@ pub fn shard_bench(cfg: &ExpConfig) -> Vec<ShardBenchRow> {
                 elapsed_ms: elapsed.as_secs_f64() * 1e3,
                 objects_per_sec: report.objects as f64 / elapsed.as_secs_f64().max(1e-9),
                 speedup: seq_elapsed.as_secs_f64() / elapsed.as_secs_f64().max(1e-9),
-                max_shard_sweeps: report
-                    .shard_stats
-                    .iter()
-                    .map(|s| s.sweeps)
-                    .max()
-                    .unwrap_or(0),
+                max_shard_sweeps: report.max_shard_sweeps(),
             });
         }
     }
@@ -1690,8 +1678,9 @@ pub struct ElasticBenchRow {
     /// load — the no-regression case).
     pub workload: &'static str,
     /// Mesh mode: `"seq"` (unsharded `drive_incremental` baseline),
-    /// `"static"` (`drive_sharded`, fixed ownership) or `"elastic"`
-    /// (`drive_elastic`: work-stealing + balancer-driven resharding).
+    /// `"static"` (`drive_elastic` under `BalancerPolicy::STATIC`: fixed
+    /// ownership) or `"elastic"` (`drive_elastic` under a skew-watching
+    /// policy: work-stealing + balancer-driven resharding).
     pub mode: &'static str,
     /// Shard count at the start of the run (0 for the sequential row).
     pub shards: usize,
@@ -1773,7 +1762,7 @@ fn assert_slides_bitwise(
     }
 }
 
-/// Runs the elastic mesh against the static sharded driver and the
+/// Runs the elastic mesh against the static mesh and the
 /// sequential baseline on a worst-case-skew hotspot stream and a uniform
 /// stream, asserting per-slide answers are **bit-identical** across every
 /// configuration *and* that steal+split at least halve the sweep critical
@@ -1781,7 +1770,7 @@ fn assert_slides_bitwise(
 /// timings (`surge_exp elastic-bench` → `BENCH_elastic.json`).
 pub fn elastic_bench(cfg: &ExpConfig) -> Vec<ElasticBenchRow> {
     use surge_exact::{BoundMode, CellCspot};
-    use surge_stream::{drive_elastic, drive_incremental, drive_sharded, BalancerPolicy};
+    use surge_stream::{drive_elastic, drive_incremental, BalancerPolicy};
 
     let slide = 256;
     let shards = 2;
@@ -1835,19 +1824,20 @@ pub fn elastic_bench(cfg: &ExpConfig) -> Vec<ElasticBenchRow> {
         // Static mesh: fixed cell ownership, no stealing, no splitting.
         let mut det = CellCspot::with_shards(query, BoundMode::Combined, shards);
         let t0 = std::time::Instant::now();
-        let static_report = drive_sharded(&mut det, windows, stream.iter().copied(), slide);
+        let static_report = drive_elastic(
+            &mut det,
+            windows,
+            stream.iter().copied(),
+            slide,
+            BalancerPolicy::STATIC,
+        );
         let static_elapsed = t0.elapsed();
         assert_slides_bitwise(
             static_report.answers.retained(),
             seq_report.answers.retained(),
             &format!("elastic-bench {workload} static"),
         );
-        let static_max = static_report
-            .shard_stats
-            .iter()
-            .map(|s| s.sweeps)
-            .max()
-            .unwrap_or(0);
+        let static_max = static_report.max_shard_sweeps();
         rows.push(ElasticBenchRow {
             workload,
             mode: "static",
@@ -1856,8 +1846,8 @@ pub fn elastic_bench(cfg: &ExpConfig) -> Vec<ElasticBenchRow> {
             objects: static_report.objects,
             events: static_report.events,
             sweeps: static_report.sweeps,
-            stolen: 0,
-            reshards: 0,
+            stolen: static_report.stolen,
+            reshards: static_report.reshards,
             max_shard_sweeps: static_max,
             elapsed_ms: static_elapsed.as_secs_f64() * 1e3,
             objects_per_sec: static_report.objects as f64 / static_elapsed.as_secs_f64().max(1e-9),
@@ -2712,8 +2702,7 @@ pub fn observe_bench(cfg: &ExpConfig) -> (Vec<ObserveBenchRow>, surge_observe::R
     use surge_core::RegionAnswer;
     use surge_observe::Observe;
     use surge_stream::{
-        drive_elastic_observed, drive_incremental_observed, drive_sharded_observed, BalancerPolicy,
-        RetainAll,
+        drive_elastic_observed, drive_incremental_observed, BalancerPolicy, RetainAll,
     };
 
     let slide = 256;
@@ -2755,22 +2744,6 @@ pub fn observe_bench(cfg: &ExpConfig) -> (Vec<ObserveBenchRow>, surge_observe::R
                     obs,
                 );
                 (r.answers.retained().to_vec(), r.jobs, r.objects, r.events)
-            }),
-        ),
-        (
-            "sharded",
-            Box::new(|obs: &Observe| {
-                let mut det =
-                    CellCspot::with_sweep_mode(query, BoundMode::Combined, cfg.sweep_mode, 2);
-                let r = drive_sharded_observed(
-                    &mut det,
-                    windows,
-                    stream.iter().copied(),
-                    slide,
-                    &mut RetainAll,
-                    obs,
-                );
-                (r.answers.retained().to_vec(), r.sweeps, r.objects, r.events)
             }),
         ),
         (

@@ -327,7 +327,7 @@ pub fn sweep_bench_json(
 pub fn shard_bench(rows: &[crate::experiments::ShardBenchRow]) -> String {
     let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut out = format!(
-        "\n== Sharded ingest: drive_sharded vs sequential drive_incremental ({cpus} cpu) ==\n{:<10} {:<12} {:>10} {:>8} {:>10} {:>12} {:>12} {:>9}\n",
+        "\n== Sharded ingest: static mesh (drive_elastic) vs sequential drive_incremental ({cpus} cpu) ==\n{:<10} {:<12} {:>10} {:>8} {:>10} {:>12} {:>12} {:>9}\n",
         "workload", "config", "objects", "sweeps", "max-shard", "elapsed(ms)", "obj/s", "speedup"
     );
     for r in rows {
@@ -377,7 +377,7 @@ pub fn shard_bench_json(rows: &[crate::experiments::ShardBenchRow]) -> String {
 }
 
 /// The elastic-mesh experiment as a console table. The `seq` row is the
-/// unsharded baseline; `static` is `drive_sharded` at fixed ownership;
+/// unsharded baseline; `static` is the mesh under `BalancerPolicy::STATIC`;
 /// `elastic` adds work-stealing and balancer-driven splits. All three are
 /// bit-identity-gated before timing; `max-shard` (the sweep critical path)
 /// is the scaling signal on a single-core host.
@@ -1179,7 +1179,7 @@ mod tests {
     fn latency_table_renders() {
         let rows = vec![crate::experiments::LatencyRow {
             algo: "CCS",
-            summary: surge_stream::LatencySummary {
+            summary: surge_observe::LatencySummary {
                 count: 10,
                 mean_us: 1.0,
                 p50_us: 0.8,

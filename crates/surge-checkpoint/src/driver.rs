@@ -16,7 +16,7 @@
 //! modes).
 //!
 //! Snapshot pauses are recorded in a
-//! [`surge_stream::LatencyHistogram`]; the report surfaces the
+//! [`surge_observe::LatencyHistogram`]; the report surfaces the
 //! p50/p99/max snapshot-stall columns the benches print.
 
 use std::path::PathBuf;
@@ -30,10 +30,10 @@ use surge_core::{
 };
 use surge_exact::{BaseDetector, CellCspot};
 use surge_io::{BlobStore, FsStore, IoError};
-use surge_observe::{Flight, Histogram, Observe, TraceEvent};
+use surge_observe::{Flight, Histogram, LatencyHistogram, LatencySummary, Observe, TraceEvent};
 use surge_stream::{
-    AnswerLog, AnswerSink, AutopilotDetector, EventBatch, FlushOutcome, LatencyHistogram,
-    LatencySummary, QueryCore, RetainAll, ShardBalancer, SlidingWindowEngine,
+    AnswerLog, AnswerSink, AutopilotDetector, EventBatch, FlushOutcome, QueryCore, RetainAll,
+    ShardBalancer, SlidingWindowEngine,
 };
 use surge_topk::KCellCspot;
 

@@ -6,8 +6,8 @@
 //! uninterrupted run would have produced, for any crash point.
 //!
 //! The ROADMAP's north star is a production system; every driver the
-//! earlier PRs built (`drive`, `drive_slides`, `drive_incremental`,
-//! `drive_sharded`) still ingests from t = 0, so a process restart lost
+//! earlier PRs built (`drive`, `drive_slides`, `drive_incremental`, the
+//! shard mesh) still ingests from t = 0, so a process restart lost
 //! all window state, persistent cell sweeps and top-k incumbents. This
 //! crate closes that gap with three pieces:
 //!
@@ -30,7 +30,7 @@
 //!   rebuild deterministically from the restored rectangle sets, which
 //!   the shared `sweep_core` guarantees is bit-identical — replay the WAL
 //!   tail, then continue with the live source. Snapshot stalls land in a
-//!   [`surge_stream::LatencyHistogram`] and surface as p50/p99/max
+//!   [`surge_observe::LatencyHistogram`] and surface as p50/p99/max
 //!   columns in the reports and `surge_exp checkpoint-bench`.
 //!
 //! # Why recovery is bit-identical

@@ -251,52 +251,11 @@ pub struct ShardRunStats {
 /// local best. Obtained from [`ShardedIngest::ingest_workers`]; the handles
 /// borrow the detector's shards disjointly, so each can live on its own
 /// thread for the duration of a run.
-pub trait ShardWorker {
-    /// Applies one event to the cells of this shard (cells owned by other
-    /// shards are skipped). Every worker must see every event, in stream
-    /// order.
-    fn on_event(&mut self, event: &Event);
-
-    /// Sweeps this shard's dirty cells and returns the shard's best
-    /// candidate (`None` when the shard holds no scoring cell). After a
-    /// flush every cell in the shard is fresh.
-    fn flush(&mut self) -> Option<ShardAnswer>;
-
-    /// This worker's lifetime counters.
-    fn stats(&self) -> ShardWorkerStats;
-}
-
-/// A detector whose ingest can fan out across per-shard workers.
 ///
-/// The contract extends [`IncrementalDetector`]'s snapshot→compute→install
-/// discipline to the *whole pipeline*: workers partition the cell state by
-/// [`crate::store::shard_of_cell`], every worker observes the full event
-/// stream in order (applying only its own cells), and flush answers merged
-/// by [`ShardAnswer::merge_key`] are bit-identical to the sequential
-/// detector's answer at the same stream position.
-pub trait ShardedIngest: BurstDetector {
-    /// The per-shard handle type (borrows the detector mutably).
-    type Worker<'a>: ShardWorker + Send
-    where
-        Self: 'a;
-
-    /// Splits the detector into one ingest worker per shard.
-    fn ingest_workers(&mut self) -> Vec<Self::Worker<'_>>;
-
-    /// Folds a completed sharded run's counters back into
-    /// [`BurstDetector::stats`].
-    fn absorb_shard_run(&mut self, run: ShardRunStats);
-
-    /// The query-region size (needed to turn merged [`ShardAnswer`]s into
-    /// [`RegionAnswer`]s while the workers still borrow the detector).
-    fn region_size(&self) -> RegionSize;
-}
-
-/// A [`ShardWorker`] that can participate in driver-coordinated work
-/// stealing at flush boundaries.
-///
-/// The steal protocol splits [`ShardWorker::flush`] into phases the driver
-/// sequences across the whole mesh:
+/// A flush is [`sweep_kept`](Self::sweep_kept) followed by
+/// [`install_and_best`](Self::install_and_best). When the driver plans
+/// work stealing it splits the flush into phases sequenced across the
+/// whole mesh:
 ///
 /// 1. [`dirty_count`](Self::dirty_count) — how many dirty cells this shard
 ///    would sweep now;
@@ -315,58 +274,90 @@ pub trait ShardedIngest: BurstDetector {
 /// Cells are independent and job execution uses the rebuild-per-search
 /// reference path, which is bit-identical to the in-place persistent sweep
 /// — so any steal schedule yields the same merged answer and the same
-/// total sweep count as the un-stolen flush.
-pub trait ElasticWorker: ShardWorker {
+/// total sweep count as the un-stolen flush. Detectors without per-cell
+/// sweep work (the grid detectors) keep the defaults: no dirty cells, no
+/// jobs, nothing to sweep.
+pub trait ShardWorker {
     /// A stolen cell's sweep, self-contained enough to run on any worker.
     type Job: Send;
     /// The outcome of one stolen sweep, routed home by the driver.
     type Outcome: Send;
 
+    /// Applies one event to the cells of this shard (cells owned by other
+    /// shards are skipped). Every worker must see every event, in stream
+    /// order.
+    fn on_event(&mut self, event: &Event);
+
     /// Number of dirty cells this shard would sweep at the next flush.
-    fn dirty_count(&self) -> u64;
+    fn dirty_count(&self) -> u64 {
+        0
+    }
 
     /// Exports the tail `k` dirty cells as jobs and marks them exported
     /// (skipped by [`sweep_kept`](Self::sweep_kept), cleared by
     /// [`install_and_best`](Self::install_and_best)). `k` never exceeds
     /// the last reported [`dirty_count`](Self::dirty_count).
-    fn export_jobs(&mut self, k: usize) -> Vec<Self::Job>;
+    fn export_jobs(&mut self, k: usize) -> Vec<Self::Job> {
+        debug_assert_eq!(k, 0, "no dirty cells to export");
+        Vec::new()
+    }
 
     /// Runs jobs stolen from peers, counting each in this worker's
-    /// `sweeps`.
-    fn run_jobs(&mut self, jobs: Vec<Self::Job>) -> Vec<Self::Outcome>;
+    /// `sweeps`, and returns one outcome per job, in job order (the driver
+    /// routes them home by position).
+    fn run_jobs(&mut self, jobs: Vec<Self::Job>) -> Vec<Self::Outcome> {
+        debug_assert!(jobs.is_empty(), "no peer exports jobs");
+        Vec::new()
+    }
 
     /// Sweeps the dirty cells this shard kept (everything not exported),
-    /// in place, counting them in this worker's `sweeps`.
-    fn sweep_kept(&mut self);
+    /// in place, counting them in this worker's `sweeps`, and returns how
+    /// many it swept.
+    fn sweep_kept(&mut self) -> u64 {
+        0
+    }
 
     /// Installs outcomes of this shard's exported cells (computed by the
     /// thieves — not counted again here), clears the export list and
-    /// returns the shard's best candidate.
+    /// returns the shard's best candidate (`None` when the shard holds no
+    /// scoring cell). Afterwards every cell in the shard is fresh.
     fn install_and_best(&mut self, outcomes: Vec<Self::Outcome>) -> Option<ShardAnswer>;
+
+    /// This worker's lifetime counters.
+    fn stats(&self) -> ShardWorkerStats;
 }
 
-/// A [`ShardedIngest`] detector whose mesh is *elastic*: flushes can steal
-/// work across shards and the shard count can change at a pause boundary
-/// without losing state.
+/// A detector whose ingest fans out across a mesh of per-shard workers.
 ///
-/// [`reshard`](Self::reshard) re-homes every cell under the new
-/// [`crate::store::shard_of_cell`] mapping by capturing the detector's
-/// logical state and restoring it into a fresh store — the same
+/// The contract extends [`IncrementalDetector`]'s snapshot→compute→install
+/// discipline to the *whole pipeline*: workers partition the cell state by
+/// [`crate::store::shard_of_cell`], every worker observes the full event
+/// stream in order (applying only its own cells), and flush answers merged
+/// by [`ShardAnswer::merge_key`] are bit-identical to the sequential
+/// detector's answer at the same stream position.
+///
+/// The mesh is *elastic*: [`reshard`](Self::reshard) re-homes every cell
+/// under the new [`crate::store::shard_of_cell`] mapping by capturing the
+/// detector's logical state and restoring it into a fresh store — the same
 /// machine-independent path checkpointing uses, so the answer stream after
 /// a reshard is bit-identical to a detector built at the new count from
 /// the start.
-pub trait ElasticIngest: ShardedIngest {
-    /// Stolen-sweep job (matches the worker's).
-    type Job: Send;
-    /// Stolen-sweep outcome (matches the worker's).
-    type Outcome: Send;
-    /// The per-shard elastic handle type.
-    type EWorker<'a>: ElasticWorker<Job = Self::Job, Outcome = Self::Outcome> + Send
+pub trait ShardedIngest: BurstDetector {
+    /// The per-shard handle type (borrows the detector mutably).
+    type Worker<'a>: ShardWorker + Send
     where
         Self: 'a;
 
-    /// Splits the detector into one steal-capable worker per shard.
-    fn elastic_workers(&mut self) -> Vec<Self::EWorker<'_>>;
+    /// Splits the detector into one ingest worker per shard.
+    fn ingest_workers(&mut self) -> Vec<Self::Worker<'_>>;
+
+    /// Folds a completed sharded run's counters back into
+    /// [`BurstDetector::stats`].
+    fn absorb_shard_run(&mut self, run: ShardRunStats);
+
+    /// The query-region size (needed to turn merged [`ShardAnswer`]s into
+    /// [`RegionAnswer`]s while the workers still borrow the detector).
+    fn region_size(&self) -> RegionSize;
 
     /// Current shard count of the mesh.
     fn mesh_shards(&self) -> usize;
@@ -376,10 +367,6 @@ pub trait ElasticIngest: ShardedIngest {
     /// between flushes (no dirty state in flight is required — dirty
     /// marks survive via the captured per-cell state).
     fn reshard(&mut self, shards: usize);
-
-    /// The home cell of an outcome — the driver routes each stolen
-    /// outcome back to `shard_of_cell(outcome_cell, n)`.
-    fn outcome_cell(outcome: &Self::Outcome) -> CellId;
 }
 
 /// A continuous top-k bursty-region detector (paper §VI).

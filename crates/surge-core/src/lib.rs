@@ -50,8 +50,8 @@ pub use checkpoint::{
     GridCellState, RectState, RestoreError,
 };
 pub use detector::{
-    BurstDetector, DetectorStats, ElasticIngest, ElasticWorker, IncrementalDetector, ShardAnswer,
-    ShardRunStats, ShardWorker, ShardWorkerStats, ShardedIngest, SweepCacheStats, TopKDetector,
+    BurstDetector, DetectorStats, IncrementalDetector, ShardAnswer, ShardRunStats, ShardWorker,
+    ShardWorkerStats, ShardedIngest, SweepCacheStats, TopKDetector,
 };
 pub use event::{Event, EventKind};
 pub use geom::{Point, Rect};

@@ -18,7 +18,7 @@
 //! commute — so the shards can ingest concurrently:
 //! [`CellCspot::ingest_workers`] splits the detector into per-shard
 //! [`CellShardWorker`]s that each own one shard's map and queue exclusively
-//! (`surge-stream`'s `drive_sharded` puts each on its own thread). The
+//! (`surge-stream`'s `drive_elastic` puts each on its own thread). The
 //! sequential [`BurstDetector::on_event`] routes through the exact same
 //! per-cell code, so shard count and thread count change wall-clock time
 //! only: detector state, answers and stats are bit-identical.
@@ -31,10 +31,10 @@ use std::collections::{BTreeSet, HashMap};
 
 use surge_core::{
     object_to_rect, shard_of_cell, BurstDetector, BurstParams, CandidateState, CellId, CellState,
-    CheckpointableDetector, DetectorState, DetectorStats, ElasticIngest, ElasticWorker, Event,
-    EventKind, GridSpec, IncrementalDetector, Point, Rect, RectState, RegionAnswer, RegionSize,
-    RestoreError, ShardAnswer, ShardRunStats, ShardWorker, ShardWorkerStats, ShardedCellStore,
-    ShardedIngest, SurgeQuery, SweepCacheStats, TotalF64, WindowKind,
+    CheckpointableDetector, DetectorState, DetectorStats, Event, EventKind, GridSpec,
+    IncrementalDetector, Point, Rect, RectState, RegionAnswer, RegionSize, RestoreError,
+    ShardAnswer, ShardRunStats, ShardWorker, ShardWorkerStats, ShardedCellStore, ShardedIngest,
+    SurgeQuery, SweepCacheStats, TotalF64, WindowKind,
 };
 
 use crate::psweep::{PersistentCellSweep, SweepMode, SweepPool, SweepStats};
@@ -166,14 +166,26 @@ struct ShardCtx {
 /// bound-ordered queue over exactly those cells (max at the back).
 type ShardQueue = BTreeSet<(TotalF64, CellId)>;
 
-/// The upper bound `U(c)` in burst-score units (Definition 8).
+/// The upper bound `U(c)` in burst-score units (Definition 8), never below
+/// the score a scan reports for the cell's valid candidate.
+///
+/// Invariant: queue key ≥ reported score. The bounds are accumulated
+/// incrementally while the scans recompute the score from the candidate's
+/// raw weights, so the two can disagree by an ulp; an early exit at a key
+/// an ulp *below* a candidate's score would hide that candidate from the
+/// sequential scan but not from a shard whose incumbent is lower, and the
+/// sharded answer would differ. Raising the key to the score keeps every
+/// scan order exact.
 fn cell_bound_key(cell: &Cell, params: &BurstParams, mode: BoundMode) -> TotalF64 {
     let us = cell.us_weight / params.current_norm;
     let u = match mode {
         BoundMode::Combined => us.min(cell.ud),
         BoundMode::StaticOnly => us,
     };
-    TotalF64(u)
+    match cell.cand {
+        CandState::Valid(c) => TotalF64(u.max(params.score_weights(c.wc, c.wp))),
+        _ => TotalF64(u),
+    }
 }
 
 /// The event prologue shared by the sequential detector and the shard
@@ -996,7 +1008,17 @@ pub struct CellShardWorker<'a> {
     arena: SweepArena,
 }
 
+/// The steal-capable flush (see [`ShardWorker`]): exported cells ship as
+/// [`DirtyCellJob`]s — the rebuild-per-search reference path, bit-identical
+/// to the in-place persistent sweep by construction — so any steal schedule
+/// produces the same installed state, the same merged answer and the same
+/// total sweep count as the un-stolen flush. Sweep attribution follows the
+/// work: the thief counts stolen jobs, the donor counts only kept cells and
+/// installs imported outcomes without counting.
 impl ShardWorker for CellShardWorker<'_> {
+    type Job = DirtyCellJob;
+    type Outcome = DirtyCellResult;
+
     fn on_event(&mut self, event: &Event) {
         let Some(sweep) = event_sweep_rect(&self.ctx, event) else {
             return;
@@ -1011,27 +1033,6 @@ impl ShardWorker for CellShardWorker<'_> {
             }
         }
     }
-
-    fn flush(&mut self) -> Option<ShardAnswer> {
-        self.stats.sweeps += sweep_shard_dirty(self.cells, self.queue, &self.ctx);
-        shard_best(self.cells, self.queue, &self.ctx)
-    }
-
-    fn stats(&self) -> ShardWorkerStats {
-        self.stats
-    }
-}
-
-/// The steal-capable flush (see [`ElasticWorker`]): exported cells ship as
-/// [`DirtyCellJob`]s — the rebuild-per-search reference path, bit-identical
-/// to the in-place persistent sweep by construction — so any steal schedule
-/// produces the same installed state, the same merged answer and the same
-/// total sweep count as the un-stolen flush. Sweep attribution follows the
-/// work: the thief counts stolen jobs, the donor counts only kept cells and
-/// installs imported outcomes without counting.
-impl ElasticWorker for CellShardWorker<'_> {
-    type Job = DirtyCellJob;
-    type Outcome = DirtyCellResult;
 
     fn dirty_count(&self) -> u64 {
         dirty_ids(self.cells).len() as u64
@@ -1062,9 +1063,10 @@ impl ElasticWorker for CellShardWorker<'_> {
             .collect()
     }
 
-    fn sweep_kept(&mut self) {
-        self.stats.sweeps +=
-            sweep_shard_dirty_excluding(self.cells, self.queue, &self.ctx, &self.exported);
+    fn sweep_kept(&mut self) -> u64 {
+        let swept = sweep_shard_dirty_excluding(self.cells, self.queue, &self.ctx, &self.exported);
+        self.stats.sweeps += swept;
+        swept
     }
 
     fn install_and_best(&mut self, outcomes: Vec<DirtyCellResult>) -> Option<ShardAnswer> {
@@ -1074,6 +1076,10 @@ impl ElasticWorker for CellShardWorker<'_> {
         }
         self.exported.clear();
         shard_best(self.cells, self.queue, &self.ctx)
+    }
+
+    fn stats(&self) -> ShardWorkerStats {
+        self.stats
     }
 }
 
@@ -1112,16 +1118,6 @@ impl ShardedIngest for CellCspot {
     fn region_size(&self) -> RegionSize {
         self.ctx.query.region
     }
-}
-
-impl ElasticIngest for CellCspot {
-    type Job = DirtyCellJob;
-    type Outcome = DirtyCellResult;
-    type EWorker<'a> = CellShardWorker<'a>;
-
-    fn elastic_workers(&mut self) -> Vec<CellShardWorker<'_>> {
-        self.ingest_workers()
-    }
 
     fn mesh_shards(&self) -> usize {
         self.store.shard_count()
@@ -1129,10 +1125,6 @@ impl ElasticIngest for CellCspot {
 
     fn reshard(&mut self, shards: usize) {
         CellCspot::reshard(self, shards);
-    }
-
-    fn outcome_cell(outcome: &DirtyCellResult) -> CellId {
-        outcome.id
     }
 }
 
@@ -1640,7 +1632,10 @@ mod tests {
             }
             let best = workers
                 .iter_mut()
-                .filter_map(|w| w.flush())
+                .filter_map(|w| {
+                    w.sweep_kept();
+                    w.install_and_best(Vec::new())
+                })
                 .max_by_key(|a| a.merge_key());
             let sweeps: u64 = workers.iter().map(|w| w.stats().sweeps).sum();
             (best, sweeps)
@@ -1664,5 +1659,44 @@ mod tests {
         assert_eq!(par.dirty_cell_count(), 0);
         assert_eq!(par.stats().events, seq.stats().events);
         assert_eq!(par.cell_count(), seq.cell_count());
+    }
+
+    /// Queue key ≥ reported score: after every flush, each valid cell sits
+    /// in its shard queue at a key no lower than the score `shard_best` and
+    /// `current` recompute for it. On this stream the incrementally
+    /// accumulated bounds round an ulp below the recomputed score at some
+    /// flushes; a key below the score would let the sequential early exit
+    /// stop before a cell that a shard-local scan still reaches.
+    #[test]
+    fn valid_cell_keys_cover_their_reported_scores() {
+        let windows = WindowConfig::equal(6_000);
+        let q = SurgeQuery::whole_space(RegionSize::new(0.3, 0.3), windows, 0.5);
+        let objects = surge_testkit::uniform_stream(6_000, 14);
+        for mode in [BoundMode::Combined, BoundMode::StaticOnly] {
+            let mut d = CellCspot::with_shards(q, mode, 2);
+            let mut engine = surge_stream::SlidingWindowEngine::new(windows);
+            let params = d.burst_params();
+            for (i, o) in objects.iter().enumerate() {
+                for ev in engine.push(*o) {
+                    d.on_event(&ev);
+                }
+                if (i + 1) % 8 != 0 {
+                    continue;
+                }
+                d.sweep_dirty(1);
+                let _ = d.current();
+                for (id, cell) in d.store.shards().iter().flat_map(|s| s.iter()) {
+                    if let CandState::Valid(c) = cell.cand {
+                        let score = params.score_weights(c.wc, c.wp);
+                        assert!(
+                            cell.heap_key.get() >= score,
+                            "{mode:?} flush {}: cell {id:?} key {} < score {score}",
+                            i / 8,
+                            cell.heap_key.get()
+                        );
+                    }
+                }
+            }
+        }
     }
 }

@@ -31,10 +31,9 @@ use surge_core::{
     RegionAnswer, RestoreError, SpatialObject, SurgeQuery,
 };
 use surge_exact::{BoundMode, CellCspot};
-use surge_observe::{Flight, Observe, TraceEvent};
+use surge_observe::{Flight, LatencyHistogram, LatencySummary, Observe, TraceEvent};
 
 use crate::answers::{AnswerLog, AnswerSink, RetainAll};
-use crate::metrics::{LatencyHistogram, LatencySummary};
 use crate::window::{EventBatch, SlidingWindowEngine};
 
 /// One level of the degradation lattice.

@@ -1,66 +1,84 @@
-//! The elastic driver: a shard mesh that steals work, watches its own skew
-//! and reshards itself mid-run — all bit-identically.
+//! The shard mesh: parallel event expansion, ingest and dirty-cell sweeps,
+//! with work stealing under skew and live resharding — all bit-identical
+//! to the sequential drivers.
 //!
-//! [`crate::sharded::drive_sharded`] fixed the shard count at process start
-//! and let one hot shard own a whole flush's sweep load: a skewed workload
-//! (every object homed to one anchor cell) serializes the mesh no matter
-//! how many workers it has. This driver makes the mesh elastic in three
-//! compounding steps, each gated on bitwise differentials
-//! (`tests/elastic_differential.rs`) before any timing:
+//! [`crate::parallel::drive_incremental`] parallelizes the per-slide sweeps
+//! but expands and applies every event on the calling thread. This driver
+//! runs the whole pipeline on one worker thread per shard:
 //!
-//! 1. **Work-stealing sweeps.** At a flush the driver collects per-shard
-//!    dirty-cell counts, computes a deterministic [`steal plan`](StealPlan)
-//!    (donors export the ascending tail of their dirty list down to the
-//!    fair share; thieves fill up to it, both in index order) and ships
-//!    whole cells as pure rebuild jobs. Cells are independent, job sweeps
-//!    are bit-identical to in-place persistent sweeps by construction, and
-//!    answers still merge by `ShardAnswer::merge_key` — so results are
-//!    bit-identical for any steal schedule, and sweep *attribution* follows
-//!    the work (the thief counts stolen jobs, the donor counts kept cells
-//!    and installs imported outcomes without counting).
-//! 2. **Skew detection.** A [`ShardBalancer`] folds each flush's per-shard
-//!    dirty counts and per-lane window-transition deltas into a load
-//!    signal; when the maximum exceeds the mean by
-//!    [`BalancerPolicy::skew_percent`] for [`BalancerPolicy::patience`]
-//!    consecutive flushes, it recommends doubling the shard count. The
-//!    decision is a pure function of the flush-boundary counters, so a
-//!    crash-replayed run re-triggers the same reshard at the same flush.
-//! 3. **Live resharding.** The driver runs the mesh in *epochs*: on a
-//!    balancer recommendation (always at a slide boundary) it sends a
-//!    `Pause` marker through the mesh, joins the workers, merges the
-//!    window lanes into one monolithic [`surge_core::EngineState`]
-//!    ([`merge_lane_states`]), re-homes every cell under the new
-//!    `shard_of_cell` mapping via the detector's checkpoint path
-//!    ([`ElasticIngest::reshard`]), rebuilds lanes at the new count with
-//!    [`WindowLane::from_state`] and resumes the stream where it left off.
-//!    Lane count and shard count are purely structural, so the answer
-//!    stream continues bit-identically — doubling the mesh without a
-//!    restart.
+//! * **Window lanes.** The driver broadcasts raw *object* batches (shared,
+//!   not copied). Each worker owns one [`WindowLane`] — the dual sliding
+//!   window of the objects homed to its shard — expands its own
+//!   `Grown`/`Expired` transitions, exchanges the per-lane event batches
+//!   peer-to-peer and re-merges them by [`Event::order_key`] before
+//!   applying events to its own cells. The merged sequence is
+//!   bit-identical to the monolithic engine's emission (see
+//!   [`crate::lanes`]), so per-cell event order is exactly the sequential
+//!   drivers'.
+//! * **Flushes.** At each slide boundary every worker sweeps its own dirty
+//!   cells in place and answers with its shard-local best. Merging the
+//!   answers by [`ShardAnswer::merge_key`] reproduces the sequential
+//!   best-first scan exactly, because no cell's queue key sits below the
+//!   score the scans report for it (see `surge_exact::CellCspot`). By
+//!   default a flush is a single round: `Flush` → `Answer` carrying the
+//!   shard best, the pre-sweep dirty count and the lane counters.
+//! * **Work stealing.** A flush whose predecessor the [`ShardBalancer`]
+//!   saw as skewed (`streak > 0`) runs the four-phase steal handshake
+//!   instead: `FlushBegin` → dirty counts → `Export` → jobs → `Sweep` →
+//!   outcomes → `Install` → answers. The driver computes a deterministic
+//!   [steal plan](StealPlan) (donors export the ascending tail of their
+//!   dirty list down to the fair share; thieves fill up to it, both in
+//!   index order) and ships whole cells as pure rebuild jobs, bit-identical
+//!   to in-place sweeps by construction. Sweep *attribution* follows the
+//!   work: the thief counts stolen jobs, the donor counts kept cells and
+//!   installs imported outcomes without counting.
+//! * **Live resharding.** The balancer folds each flush's per-shard dirty
+//!   counts and per-lane transition deltas into a load signal. After
+//!   [`BalancerPolicy::patience`] skewed flushes it recommends doubling the
+//!   shard count, and the driver ends the *epoch* at that slide boundary:
+//!   it pauses the mesh, merges the window lanes into one
+//!   [`surge_core::EngineState`] ([`merge_lane_states`]), re-homes every
+//!   cell through the detector's checkpoint path
+//!   ([`ShardedIngest::reshard`]), rebuilds the lanes at the new count with
+//!   [`WindowLane::from_state`] and resumes the stream where it left off.
 //!
-//! The flush handshake is a strict request/reply sequence — `FlushBegin` →
-//! dirty counts → `Export` → jobs → `Sweep` → outcomes → `Install` →
-//! answers — with at most one outstanding command per worker, so the
-//! bounded channels cannot deadlock regardless of capacity. The object
-//! broadcast and peer-to-peer lane exchange are shared with
-//! [`crate::sharded`] unchanged.
+//! The steal and split decisions are pure functions of flush-boundary
+//! counters, so a crash-replayed run re-derives the same schedule.
+//! [`BalancerPolicy::STATIC`] never rebalances: a fixed mesh of
+//! single-round flushes. Answers are bit-identical for every policy, shard
+//! count, steal schedule and reshard history
+//! (`tests/elastic_differential.rs`).
+//!
+//! Every command has exactly one reply and the driver never has two
+//! commands in flight per worker, so the bounded command channels cannot
+//! deadlock regardless of capacity.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::thread;
-use std::time::Instant;
+use std::time::{Duration as WallDuration, Instant};
 
 use crossbeam_channel::{bounded, Receiver, Sender};
 
 use surge_core::{
-    shard_of_cell, ElasticIngest, ElasticWorker, EngineState, ObjectId, RegionAnswer, RegionSize,
-    ShardAnswer, ShardRunStats, ShardWorkerStats, SpatialObject, Timestamp, WindowConfig,
+    EngineState, Event, ObjectId, RegionAnswer, RegionSize, ShardAnswer, ShardRunStats,
+    ShardWorker, ShardWorkerStats, ShardedIngest, SpatialObject, Timestamp, WindowConfig,
 };
 use surge_observe::{Flight, Observe, TraceEvent};
 
 use crate::answers::{AnswerLog, AnswerSink, RetainAll};
 use crate::lanes::{merge_lane_states, LaneMerger, LaneStats, WindowLane};
-use crate::sharded::{validate_arrival_order, LaneBatch, LaneExchange, BATCH, WATCHDOG_SEND};
 use crate::window::EventBatch;
+
+/// Objects are broadcast to shard workers in fixed-size batches to amortize
+/// channel overhead (each batch is one expansion/exchange round).
+const BATCH: usize = 256;
+
+/// How long a blocking mesh send may take before the backpressure watchdog
+/// notes it in the flight recorder (and dumps the rings once per run).
+/// Wall-clock gated, but it only ever *reports* — it never changes what the
+/// driver computes, so the bitwise contract is untouched.
+const WATCHDOG_SEND: WallDuration = WallDuration::from_millis(250);
 
 /// When the [`ShardBalancer`] recommends splitting the mesh.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -76,6 +94,17 @@ pub struct BalancerPolicy {
     pub max_shards: usize,
     /// Ignore flushes whose total load is below this noise floor.
     pub min_load: u64,
+}
+
+impl BalancerPolicy {
+    /// A static mesh: every flush's load sits below the noise floor, so no
+    /// flush is ever skewed and the driver never steals or reshards.
+    pub const STATIC: BalancerPolicy = BalancerPolicy {
+        skew_percent: 50,
+        patience: 4,
+        max_shards: 64,
+        min_load: u64::MAX,
+    };
 }
 
 impl Default for BalancerPolicy {
@@ -242,23 +271,93 @@ pub(crate) fn steal_plan(dirty: &[u64]) -> Option<StealPlan> {
     })
 }
 
-/// What the driver sends each elastic worker.
-enum ElasticMsg<J, O> {
-    /// A batch of raw arrivals (shared, not deep-copied) — identical to the
-    /// sharded driver's broadcast round.
+/// A lane batch in flight between shard workers: `(lane, events)`.
+type LaneBatch = (usize, Arc<[Event]>);
+
+/// Per-worker state for the expand → exchange → merge → apply round.
+struct LaneExchange {
+    lane: usize,
+    /// Senders to every *other* worker's inbox, in lane order.
+    peers: Vec<Sender<LaneBatch>>,
+    inbox: Receiver<LaneBatch>,
+    /// Received-but-not-yet-consumed batches, per lane (a fast peer can be
+    /// a round ahead; per-sender FIFO keeps each queue in round order).
+    pending: Vec<VecDeque<Arc<[Event]>>>,
+    merger: LaneMerger,
+    /// Reused assembly of the round's lane batches, in lane order.
+    round: Vec<Arc<[Event]>>,
+}
+
+impl LaneExchange {
+    /// Shares this worker's expanded lane events with every peer, waits for
+    /// the round's batch from every other lane, and applies the merged
+    /// canonical sequence to `worker`.
+    fn exchange_apply<W: ShardWorker>(&mut self, expanded: &EventBatch, worker: &mut W) {
+        let own: Arc<[Event]> = Arc::from(expanded.as_slice());
+        for tx in &self.peers {
+            tx.send((self.lane, Arc::clone(&own))).expect("peer alive");
+        }
+        let lanes = self.pending.len();
+        self.round.clear();
+        for lane in 0..lanes {
+            if lane == self.lane {
+                self.round.push(Arc::clone(&own));
+                continue;
+            }
+            while self.pending[lane].is_empty() {
+                let (from, batch) = self.inbox.recv().expect("peer alive");
+                self.pending[from].push_back(batch);
+            }
+            self.round
+                .push(self.pending[lane].pop_front().expect("checked"));
+        }
+        self.merger.merge(&self.round, |ev| worker.on_event(ev));
+    }
+}
+
+/// Rejects an out-of-order arrival **on the driver thread**, before it is
+/// broadcast into the mesh (mirroring `SlidingWindowEngine::push`'s
+/// stale-object rejection). Without this, the first lane to observe the bad
+/// object panics inside a shard worker and the failure surfaces as a
+/// cascade of opaque `expect("peer alive")` / `expect("worker alive")`
+/// panics across the mesh — one precise error here instead of a poisoned
+/// mesh.
+fn validate_arrival_order(last: &mut Option<(Timestamp, ObjectId)>, obj: &SpatialObject) {
+    if let Some((t, id)) = *last {
+        assert!(
+            obj.created > t || (obj.created == t && obj.id > id),
+            "the shard mesh needs a timestamp-ordered stream with increasing ids on equal \
+             timestamps: got object {} at {} after object {} at {} (rejected on the driver \
+             thread before broadcast)",
+            obj.id,
+            obj.created,
+            id,
+            t
+        );
+    }
+    *last = Some((obj.created, obj.id));
+}
+
+/// What the driver sends each shard worker.
+enum WorkerMsg<J, O> {
+    /// A batch of raw arrivals, in stream order, shared (not deep-copied)
+    /// across the workers. Every worker receives every batch and expands
+    /// its own lane's events from it.
     Objects(Arc<[SpatialObject]>),
     /// End of stream: drain the lane tails and exchange the drained events.
     Drain,
-    /// Flush phase 1: reply with your dirty-cell count.
+    /// Single-round flush: sweep every dirty cell in place and answer.
+    Flush,
+    /// Steal phase 1: reply with your dirty-cell count.
     FlushBegin,
-    /// Flush phase 2 (donors only): export the tail `k` of your dirty list
+    /// Steal phase 2 (donors only): export the tail `k` of your dirty list
     /// as jobs.
     Export(usize),
-    /// Flush phase 3 (everyone): run these stolen jobs, then sweep your
+    /// Steal phase 3 (everyone): run these stolen jobs, then sweep your
     /// kept cells in place.
     Sweep(Vec<J>),
-    /// Flush phase 4 (everyone): install outcomes of your exported cells,
-    /// reply with your shard best and lane counters.
+    /// Steal phase 4 (everyone): install outcomes of your exported cells
+    /// and answer.
     Install(Vec<O>),
     /// Epoch end (always at a slide boundary, after a completed flush):
     /// return your window lane to the driver for re-homing.
@@ -267,56 +366,83 @@ enum ElasticMsg<J, O> {
 
 /// Worker replies, on a dedicated per-worker channel (strictly one reply
 /// per command — the mesh never has two commands in flight per worker).
-enum ElasticReply<J, O> {
+enum WorkerReply<J, O> {
     Dirty(u64),
     Jobs(Vec<J>),
     Outcomes(Vec<O>),
-    Answer(Option<ShardAnswer>, LaneStats),
+    /// A flush's result: the shard best, the cells this worker swept in
+    /// place during the flush, and its lane's counters.
+    Answer {
+        best: Option<ShardAnswer>,
+        swept: u64,
+        lane: LaneStats,
+    },
 }
 
-fn elastic_worker_loop<W: ElasticWorker>(
+fn worker_loop<W: ShardWorker>(
     mut worker: W,
     mut lane: WindowLane,
     mut exchange: LaneExchange,
-    rx: Receiver<ElasticMsg<W::Job, W::Outcome>>,
-    tx: Sender<ElasticReply<W::Job, W::Outcome>>,
+    rx: Receiver<WorkerMsg<W::Job, W::Outcome>>,
+    tx: Sender<WorkerReply<W::Job, W::Outcome>>,
+    flight: Flight,
+    mut flush_seq: u64,
 ) -> (ShardWorkerStats, LaneStats, WindowLane) {
     let mut expanded = EventBatch::new();
+    let mut swept = 0u64;
     for msg in rx.iter() {
-        match msg {
-            ElasticMsg::Objects(objects) => {
+        let best = match msg {
+            WorkerMsg::Objects(objects) => {
                 expanded.clear();
                 for obj in objects.iter() {
                     lane.observe_into(obj, &mut expanded);
                 }
                 exchange.exchange_apply(&expanded, &mut worker);
+                continue;
             }
-            ElasticMsg::Drain => {
+            WorkerMsg::Drain => {
                 expanded.clear();
                 lane.finish_into(&mut expanded);
                 exchange.exchange_apply(&expanded, &mut worker);
+                continue;
             }
-            ElasticMsg::FlushBegin => {
-                tx.send(ElasticReply::Dirty(worker.dirty_count()))
+            WorkerMsg::Flush => {
+                flight.record(TraceEvent::FlushStart { seq: flush_seq });
+                swept = worker.sweep_kept();
+                worker.install_and_best(Vec::new())
+            }
+            WorkerMsg::FlushBegin => {
+                tx.send(WorkerReply::Dirty(worker.dirty_count()))
                     .expect("driver alive");
+                continue;
             }
-            ElasticMsg::Export(k) => {
-                tx.send(ElasticReply::Jobs(worker.export_jobs(k)))
+            WorkerMsg::Export(k) => {
+                tx.send(WorkerReply::Jobs(worker.export_jobs(k)))
                     .expect("driver alive");
+                continue;
             }
-            ElasticMsg::Sweep(stolen) => {
+            WorkerMsg::Sweep(stolen) => {
+                flight.record(TraceEvent::FlushStart { seq: flush_seq });
                 let outcomes = worker.run_jobs(stolen);
-                worker.sweep_kept();
-                tx.send(ElasticReply::Outcomes(outcomes))
+                swept = worker.sweep_kept();
+                tx.send(WorkerReply::Outcomes(outcomes))
                     .expect("driver alive");
+                continue;
             }
-            ElasticMsg::Install(outcomes) => {
-                let best = worker.install_and_best(outcomes);
-                tx.send(ElasticReply::Answer(best, lane.stats()))
-                    .expect("driver alive");
-            }
-            ElasticMsg::Pause => break,
-        }
+            WorkerMsg::Install(outcomes) => worker.install_and_best(outcomes),
+            WorkerMsg::Pause => break,
+        };
+        flight.record(TraceEvent::FlushEnd {
+            seq: flush_seq,
+            answers: best.is_some() as u64,
+        });
+        flush_seq += 1;
+        tx.send(WorkerReply::Answer {
+            best,
+            swept,
+            lane: lane.stats(),
+        })
+        .expect("driver alive");
     }
     (worker.stats(), lane.stats(), lane)
 }
@@ -340,7 +466,7 @@ pub struct EpochStats {
     pub lane_stats: Vec<LaneStats>,
 }
 
-/// Outcome of an elastic run.
+/// Outcome of a mesh run.
 #[derive(Debug, Clone)]
 pub struct ElasticReport {
     /// Objects processed.
@@ -359,10 +485,15 @@ pub struct ElasticReport {
     pub final_shards: usize,
     /// Per-epoch counters, in epoch order (always at least one).
     pub epochs: Vec<EpochStats>,
-    /// The merged answer at every flush boundary, bit-identical to
-    /// `drive_sharded` / `drive_incremental` at the same slide cadence.
+    /// The merged answer at every flush boundary, in flush order —
+    /// bit-identical to `drive_incremental`'s per-slide answers. Retains
+    /// every answer under the default [`RetainAll`] sink; bounded by
+    /// consumer lag under [`drive_elastic_with_sink`].
     pub answers: AnswerLog<Option<RegionAnswer>>,
-    /// The terminal flush's answer, tracked independently of retention.
+    /// The terminal flush's answer (after the drain: `None` unless the
+    /// detector reports something for empty windows), tracked independently
+    /// of retention — it is correct even when an acking sink has released
+    /// every flush from [`answers`](Self::answers).
     pub final_answer: Option<RegionAnswer>,
 }
 
@@ -387,16 +518,18 @@ enum EpochEnd {
     Reshard(usize),
 }
 
-/// One elastic flush handshake across the whole mesh. The caller has
-/// already broadcast any buffered objects. Returns the merged answer, the
-/// pre-steal dirty counts and the cumulative per-lane transition counts at
-/// this flush (for the balancer), and accounts stealing into `shard_sweeps`
-/// / `stolen`.
-#[allow(clippy::type_complexity)]
-fn elastic_flush<D: ElasticIngest>(
-    txs: &[Sender<ElasticMsg<D::Job, D::Outcome>>],
-    reply_rxs: &[Receiver<ElasticReply<D::Job, D::Outcome>>],
+/// One flush across the whole mesh; the caller has already broadcast any
+/// buffered objects. `steal` selects the four-phase steal handshake over
+/// the single round. Returns the merged answer plus, per shard, the
+/// pre-steal dirty count and the cumulative lane transition count (the
+/// balancer's inputs), and accounts the sweeps each shard ran into
+/// `shard_sweeps` and the cells that changed hands into `stolen_total`.
+#[allow(clippy::too_many_arguments)]
+fn flush_mesh<J, O>(
+    txs: &[Sender<WorkerMsg<J, O>>],
+    reply_rxs: &[Receiver<WorkerReply<J, O>>],
     region: RegionSize,
+    steal: bool,
     shard_sweeps: &mut [u64],
     stolen_total: &mut u64,
     flight: &Flight,
@@ -404,88 +537,111 @@ fn elastic_flush<D: ElasticIngest>(
 ) -> (Option<RegionAnswer>, Vec<u64>, Vec<u64>) {
     let n = txs.len();
     flight.record(TraceEvent::FlushStart { seq });
-    // Phase 1: dirty counts.
-    for tx in txs {
-        tx.send(ElasticMsg::FlushBegin).expect("worker alive");
-    }
-    let dirty: Vec<u64> = reply_rxs
-        .iter()
-        .map(|rx| match rx.recv().expect("worker alive") {
-            ElasticReply::Dirty(c) => c,
-            _ => unreachable!("protocol: FlushBegin answers with Dirty"),
-        })
-        .collect();
+    let plan = if steal {
+        for tx in txs {
+            tx.send(WorkerMsg::FlushBegin).expect("worker alive");
+        }
+        let dirty: Vec<u64> = reply_rxs
+            .iter()
+            .map(|rx| match rx.recv().expect("worker alive") {
+                WorkerReply::Dirty(c) => c,
+                _ => unreachable!("protocol: FlushBegin answers with Dirty"),
+            })
+            .collect();
+        steal_plan(&dirty)
+    } else {
+        None
+    };
 
-    // Phase 2: plan + export.
-    let plan = steal_plan(&dirty);
-    let mut stolen_for: Vec<Vec<D::Job>> = (0..n).map(|_| Vec::new()).collect();
-    if let Some(plan) = &plan {
-        let mut jobs_by_donor: Vec<VecDeque<D::Job>> = (0..n).map(|_| VecDeque::new()).collect();
-        for (d, &k) in plan.exports.iter().enumerate() {
-            if k > 0 {
-                txs[d].send(ElasticMsg::Export(k)).expect("worker alive");
+    // Cells each shard exported to, and received from, its peers.
+    let mut exported = vec![0u64; n];
+    let mut received = vec![0u64; n];
+    match &plan {
+        None => {
+            for tx in txs {
+                tx.send(WorkerMsg::Flush).expect("worker alive");
             }
         }
-        for (d, &k) in plan.exports.iter().enumerate() {
-            if k > 0 {
-                match reply_rxs[d].recv().expect("worker alive") {
-                    ElasticReply::Jobs(jobs) => {
-                        debug_assert_eq!(jobs.len(), k);
-                        jobs_by_donor[d] = jobs.into();
+        Some(plan) => {
+            let mut jobs_by_donor: Vec<VecDeque<J>> = (0..n).map(|_| VecDeque::new()).collect();
+            for (d, &k) in plan.exports.iter().enumerate() {
+                if k > 0 {
+                    txs[d].send(WorkerMsg::Export(k)).expect("worker alive");
+                }
+            }
+            for (d, &k) in plan.exports.iter().enumerate() {
+                if k > 0 {
+                    match reply_rxs[d].recv().expect("worker alive") {
+                        WorkerReply::Jobs(jobs) => {
+                            debug_assert_eq!(jobs.len(), k);
+                            jobs_by_donor[d] = jobs.into();
+                        }
+                        _ => unreachable!("protocol: Export answers with Jobs"),
                     }
-                    _ => unreachable!("protocol: Export answers with Jobs"),
+                    exported[d] = k as u64;
                 }
             }
-        }
-        for (thief, runs) in plan.assign.iter().enumerate() {
-            for &(donor, count) in runs {
-                stolen_for[thief].extend(jobs_by_donor[donor].drain(..count));
+            // Everyone sweeps — stolen jobs first, then kept cells.
+            for (thief, runs) in plan.assign.iter().enumerate() {
+                let stolen: Vec<J> = runs
+                    .iter()
+                    .flat_map(|&(donor, count)| {
+                        jobs_by_donor[donor].drain(..count).collect::<Vec<_>>()
+                    })
+                    .collect();
+                received[thief] = stolen.len() as u64;
+                txs[thief]
+                    .send(WorkerMsg::Sweep(stolen))
+                    .expect("worker alive");
             }
-        }
-        *stolen_total += plan.stolen as u64;
-        flight.record(TraceEvent::StealPlan {
-            seq,
-            moved: plan.stolen as u64,
-        });
-    }
-
-    // Phase 3: everyone sweeps — stolen jobs first, then kept cells.
-    for (w, (tx, stolen)) in txs.iter().zip(stolen_for).enumerate() {
-        let kept = dirty[w] - plan.as_ref().map_or(0, |p| p.exports[w] as u64);
-        shard_sweeps[w] += kept + stolen.len() as u64;
-        tx.send(ElasticMsg::Sweep(stolen)).expect("worker alive");
-    }
-
-    // Phase 4: route outcomes home and install.
-    let mut to_install: Vec<Vec<D::Outcome>> = (0..n).map(|_| Vec::new()).collect();
-    for rx in reply_rxs {
-        match rx.recv().expect("worker alive") {
-            ElasticReply::Outcomes(outcomes) => {
-                for o in outcomes {
-                    let home = shard_of_cell(D::outcome_cell(&o), n);
-                    to_install[home].push(o);
+            *stolen_total += plan.stolen as u64;
+            flight.record(TraceEvent::StealPlan {
+                seq,
+                moved: plan.stolen as u64,
+            });
+            // Route outcomes home and install: a thief's outcomes follow
+            // its jobs' order, which is its plan's donor runs.
+            let mut to_install: Vec<Vec<O>> = (0..n).map(|_| Vec::new()).collect();
+            for (rx, runs) in reply_rxs.iter().zip(&plan.assign) {
+                match rx.recv().expect("worker alive") {
+                    WorkerReply::Outcomes(outcomes) => {
+                        let mut outcomes = outcomes.into_iter();
+                        for &(donor, count) in runs {
+                            to_install[donor].extend(outcomes.by_ref().take(count));
+                        }
+                        debug_assert!(outcomes.next().is_none(), "one outcome per job");
+                    }
+                    _ => unreachable!("protocol: Sweep answers with Outcomes"),
                 }
             }
-            _ => unreachable!("protocol: Sweep answers with Outcomes"),
+            for (tx, outs) in txs.iter().zip(to_install) {
+                tx.send(WorkerMsg::Install(outs)).expect("worker alive");
+            }
         }
     }
-    for (tx, outs) in txs.iter().zip(to_install) {
-        tx.send(ElasticMsg::Install(outs)).expect("worker alive");
-    }
+
+    // Deterministic merge: the shard bests are keyed by (score, bound,
+    // cell), a total order independent of thread timing and shard count.
     let mut best: Option<ShardAnswer> = None;
-    let mut transitions: Vec<u64> = Vec::with_capacity(n);
-    for rx in reply_rxs {
+    let mut dirty = Vec::with_capacity(n);
+    let mut transitions = Vec::with_capacity(n);
+    for (w, rx) in reply_rxs.iter().enumerate() {
         match rx.recv().expect("worker alive") {
-            ElasticReply::Answer(ans, lane) => {
+            WorkerReply::Answer {
+                best: ans,
+                swept,
+                lane,
+            } => {
+                shard_sweeps[w] += swept + received[w];
+                dirty.push(swept + exported[w]);
                 transitions.push(lane.transitions);
                 if let Some(a) = ans {
-                    // Same total order as the sharded driver's merge.
                     if best.is_none_or(|b| a.merge_key() > b.merge_key()) {
                         best = Some(a);
                     }
                 }
             }
-            _ => unreachable!("protocol: Install answers with Answer"),
+            _ => unreachable!("protocol: a flush ends with Answer"),
         }
     }
     let merged = best.map(|b| b.answer(region));
@@ -496,19 +652,21 @@ fn elastic_flush<D: ElasticIngest>(
     (merged, dirty, transitions)
 }
 
-/// Drives `source` into an [`ElasticIngest`] detector with one worker per
-/// shard, stealing sweeps at every flush and doubling the shard count live
-/// whenever the balancer detects persistent skew — with answers
-/// bit-identical to [`crate::sharded::drive_sharded`] and the sequential
-/// drivers at the same slide cadence, for any steal schedule and any
-/// reshard history.
+/// Drives `source` into a [`ShardedIngest`] detector with one worker thread
+/// per shard, refreshing the merged continuous answer once per
+/// `slide_objects` arrivals (plus the terminal drain flush). Under skew the
+/// mesh steals sweeps and doubles its shard count live, as `policy`
+/// directs; [`BalancerPolicy::STATIC`] keeps it fixed. The per-flush
+/// answers (and the detector's final state and stats) are bit-identical to
+/// [`crate::parallel::drive_incremental`] at the same slide size, for any
+/// policy — see the module docs for why.
 ///
 /// # Panics
 ///
 /// Panics if `slide_objects` is 0, if the stream is not arrival-ordered
-/// (rejected on the driver thread, see the sharded driver), or propagates
-/// a worker panic.
-pub fn drive_elastic<D: ElasticIngest>(
+/// (rejected on the driver thread before broadcast), or propagates a
+/// worker panic.
+pub fn drive_elastic<D: ShardedIngest>(
     detector: &mut D,
     windows: WindowConfig,
     source: impl Iterator<Item = SpatialObject>,
@@ -525,9 +683,14 @@ pub fn drive_elastic<D: ElasticIngest>(
     )
 }
 
-/// [`drive_elastic`] with an explicit answer consumer (see
-/// [`crate::sharded::drive_sharded_with_sink`]).
-pub fn drive_elastic_with_sink<D: ElasticIngest>(
+/// [`drive_elastic`] with an explicit answer consumer: every merged flush
+/// answer is delivered through `sink` on the driver thread, and acked
+/// answers are released from `ElasticReport::answers` instead of retained.
+///
+/// # Panics
+///
+/// Same as [`drive_elastic`].
+pub fn drive_elastic_with_sink<D: ShardedIngest>(
     detector: &mut D,
     windows: WindowConfig,
     source: impl Iterator<Item = SpatialObject>,
@@ -547,18 +710,20 @@ pub fn drive_elastic_with_sink<D: ElasticIngest>(
 }
 
 /// [`drive_elastic_with_sink`] with registry probes: driver counters under
-/// `elastic/*`, per-epoch shard-sweep counters
-/// (`elastic/epoch=E/shard=S/sweeps`), and a driver flight ring that traces
-/// every flush, steal plan and reshard epoch in logical time. Stolen-cell
-/// counts and reshard decisions are already deterministic (see the module
-/// docs), so the trace dump is identical run-to-run; a disabled `obs`
-/// compiles the probes down to a branch on `None` and the answers are
-/// bitwise identical either way (proptested).
+/// `elastic/*`; per-epoch counters (`elastic/epoch=E/…`) of each shard's
+/// sweeps and cell touches and each lane's arrivals and transitions; a
+/// flight ring per shard worker plus one for the driver, tracing every
+/// flush, steal plan and reshard epoch in logical time; a mesh-backpressure
+/// watchdog that notes slow channel sends and dumps the rings; and a
+/// panic-time ring dump. Steal and reshard decisions are deterministic, so
+/// the trace dump is identical run-to-run; a disabled `obs` compiles the
+/// probes down to a branch on `None`, and the answers are bitwise identical
+/// either way (proptested).
 ///
 /// # Panics
 ///
 /// Same as [`drive_elastic`].
-pub fn drive_elastic_observed<D: ElasticIngest>(
+pub fn drive_elastic_observed<D: ShardedIngest>(
     detector: &mut D,
     windows: WindowConfig,
     source: impl Iterator<Item = SpatialObject>,
@@ -581,6 +746,9 @@ pub fn drive_elastic_observed<D: ElasticIngest>(
     let mut stolen = 0u64;
     let mut reshards = 0u64;
     let mut answers: AnswerLog<Option<RegionAnswer>> = AnswerLog::new();
+    // The terminal flush's answer, tracked independently of retention: an
+    // acking sink may release every flush from `answers`, and the report
+    // must still state the terminal answer.
     let mut final_answer: Option<RegionAnswer> = None;
     let mut epochs: Vec<EpochStats> = Vec::new();
     // Arrival-order validation spans epochs: the stream contract doesn't
@@ -605,12 +773,18 @@ pub fn drive_elastic_observed<D: ElasticIngest>(
         };
 
         let (end, epoch, joined) = thread::scope(|scope| {
-            let workers = detector.elastic_workers();
+            let workers = detector.ingest_workers();
             debug_assert_eq!(workers.len(), n);
 
-            // Mesh plumbing, identical to the sharded driver (see the
-            // capacity analysis there — proven deadlock-free by the
-            // slow-worker tests in tests/mesh_backpressure.rs).
+            // Mesh plumbing: one inbox per worker; every worker holds a
+            // sender to each peer's inbox. Capacity 2n holds the worst
+            // transient (a fast peer can run one round ahead of a slow
+            // worker, so up to 2(n-1) undelivered batches can target one
+            // inbox). A full inbox only backpressures, it cannot deadlock: a
+            // worker finishes all its round-k sends before starting round
+            // k+1, so the batches a blocked receiver is waiting on have
+            // already been delivered or are at the front of a peer's (FIFO)
+            // send — no cyclic wait (tests/mesh_backpressure.rs).
             let mut mesh_txs: Vec<Sender<LaneBatch>> = Vec::with_capacity(n);
             let mut mesh_rxs: Vec<Receiver<LaneBatch>> = Vec::with_capacity(n);
             for _ in 0..n {
@@ -619,17 +793,16 @@ pub fn drive_elastic_observed<D: ElasticIngest>(
                 mesh_rxs.push(rx);
             }
 
-            let mut txs: Vec<Sender<ElasticMsg<D::Job, D::Outcome>>> = Vec::with_capacity(n);
-            let mut reply_rxs: Vec<Receiver<ElasticReply<D::Job, D::Outcome>>> =
-                Vec::with_capacity(n);
+            let mut txs = Vec::with_capacity(n);
+            let mut reply_rxs = Vec::with_capacity(n);
             let mut handles = Vec::with_capacity(n);
             for (idx, (worker, (inbox, lane))) in workers
                 .into_iter()
                 .zip(mesh_rxs.into_iter().zip(lanes))
                 .enumerate()
             {
-                let (tx, rx) = bounded::<ElasticMsg<D::Job, D::Outcome>>(16);
-                let (rtx, rrx) = bounded::<ElasticReply<D::Job, D::Outcome>>(1);
+                let (tx, rx) = bounded(16);
+                let (rtx, rrx) = bounded(1);
                 txs.push(tx);
                 reply_rxs.push(rrx);
                 let exchange = LaneExchange {
@@ -645,35 +818,42 @@ pub fn drive_elastic_observed<D: ElasticIngest>(
                     merger: LaneMerger::new(),
                     round: Vec::with_capacity(n),
                 };
-                handles.push(
-                    scope.spawn(move || elastic_worker_loop(worker, lane, exchange, rx, rtx)),
-                );
+                let flight = obs.flight(&format!("elastic/shard={idx}"));
+                let first_seq = slides;
+                handles.push(scope.spawn(move || {
+                    worker_loop(worker, lane, exchange, rx, rtx, flight, first_seq)
+                }));
             }
-            drop(mesh_txs);
+            drop(mesh_txs); // workers hold the only senders now
 
             let broadcast = |batch: &mut Vec<SpatialObject>, seq: u64| {
-                if !batch.is_empty() {
-                    let shared: Arc<[SpatialObject]> = std::mem::take(batch).into();
-                    for (shard, tx) in txs.iter().enumerate() {
-                        if enabled {
-                            // Same reporting-only backpressure watchdog as
-                            // the sharded driver.
-                            let start = Instant::now();
-                            tx.send(ElasticMsg::Objects(Arc::clone(&shared)))
-                                .expect("worker alive");
-                            if start.elapsed() >= WATCHDOG_SEND {
-                                driver_flight.record(TraceEvent::Backpressure {
-                                    seq,
-                                    shard: shard as u32,
-                                });
-                                if !watchdog_fired.replace(true) {
-                                    eprintln!("{}", obs.trace_dump());
-                                }
+                if batch.is_empty() {
+                    return;
+                }
+                // One shared allocation per batch; each worker holds an Arc,
+                // not a deep copy of the objects.
+                let shared: Arc<[SpatialObject]> = std::mem::take(batch).into();
+                for (shard, tx) in txs.iter().enumerate() {
+                    if enabled {
+                        // Backpressure watchdog: time the blocking mesh send.
+                        // A slow one is noted in the driver ring and the
+                        // rings are dumped once per run — reporting only,
+                        // the send itself is the same blocking call.
+                        let start = Instant::now();
+                        tx.send(WorkerMsg::Objects(Arc::clone(&shared)))
+                            .expect("worker alive");
+                        if start.elapsed() >= WATCHDOG_SEND {
+                            driver_flight.record(TraceEvent::Backpressure {
+                                seq,
+                                shard: shard as u32,
+                            });
+                            if !watchdog_fired.replace(true) {
+                                eprintln!("{}", obs.trace_dump());
                             }
-                        } else {
-                            tx.send(ElasticMsg::Objects(Arc::clone(&shared)))
-                                .expect("worker alive");
                         }
+                    } else {
+                        tx.send(WorkerMsg::Objects(Arc::clone(&shared)))
+                            .expect("worker alive");
                     }
                 }
             };
@@ -685,6 +865,21 @@ pub fn drive_elastic_observed<D: ElasticIngest>(
             let mut batch: Vec<SpatialObject> = Vec::with_capacity(BATCH);
             let mut in_slide = 0usize;
             let mut end = EpochEnd::Done;
+            // Every call passes `steal = balancer.streak() > 0`: the steal
+            // handshake runs only after a flush the balancer saw as skewed.
+            let mut flush = |batch: &mut Vec<SpatialObject>, steal: bool, seq: u64| {
+                broadcast(batch, seq);
+                flush_mesh(
+                    &txs,
+                    &reply_rxs,
+                    region,
+                    steal,
+                    &mut shard_sweeps,
+                    &mut epoch_stolen,
+                    &driver_flight,
+                    seq,
+                )
+            };
 
             for obj in source.by_ref() {
                 validate_arrival_order(&mut last_arrival, &obj);
@@ -695,16 +890,8 @@ pub fn drive_elastic_observed<D: ElasticIngest>(
                 objects += 1;
                 in_slide += 1;
                 if in_slide >= slide_objects {
-                    broadcast(&mut batch, slides);
-                    let (ans, dirty, transitions) = elastic_flush::<D>(
-                        &txs,
-                        &reply_rxs,
-                        region,
-                        &mut shard_sweeps,
-                        &mut epoch_stolen,
-                        &driver_flight,
-                        slides,
-                    );
+                    let (ans, dirty, transitions) =
+                        flush(&mut batch, balancer.streak() > 0, slides);
                     answers.offer(ans, sink);
                     slides += 1;
                     epoch_slides += 1;
@@ -724,36 +911,24 @@ pub fn drive_elastic_observed<D: ElasticIngest>(
 
             if matches!(end, EpochEnd::Done) {
                 // Stream exhausted: partial slide, then the terminal drain
-                // flush, mirroring the sharded driver (no balancing on the
-                // tail — there is nothing left to balance for).
+                // flush, mirroring the sequential slide loop (no balancing
+                // on the tail — there is nothing left to balance for).
                 if in_slide > 0 {
-                    broadcast(&mut batch, slides);
-                    let (ans, _, _) = elastic_flush::<D>(
-                        &txs,
-                        &reply_rxs,
-                        region,
-                        &mut shard_sweeps,
-                        &mut epoch_stolen,
-                        &driver_flight,
-                        slides,
-                    );
+                    let (ans, _, _) = flush(&mut batch, balancer.streak() > 0, slides);
                     answers.offer(ans, sink);
                     slides += 1;
                     epoch_slides += 1;
                 }
+                // Any buffered objects must reach the workers before the
+                // lanes drain (a Drain advances the lane clocks to the
+                // horizon, after which pushing an older arrival would panic).
                 broadcast(&mut batch, slides);
                 for tx in &txs {
-                    tx.send(ElasticMsg::Drain).expect("worker alive");
+                    tx.send(WorkerMsg::Drain).expect("worker alive");
                 }
-                let (ans, _, _) = elastic_flush::<D>(
-                    &txs,
-                    &reply_rxs,
-                    region,
-                    &mut shard_sweeps,
-                    &mut epoch_stolen,
-                    &driver_flight,
-                    slides,
-                );
+                // The terminal answer is recorded before the sink can
+                // release it.
+                let (ans, _, _) = flush(&mut batch, balancer.streak() > 0, slides);
                 final_answer = ans;
                 answers.offer(ans, sink);
                 slides += 1;
@@ -764,7 +939,7 @@ pub fn drive_elastic_observed<D: ElasticIngest>(
             // every worker is idle and every lane is at the same stream
             // position.
             for tx in &txs {
-                tx.send(ElasticMsg::Pause).expect("worker alive");
+                tx.send(WorkerMsg::Pause).expect("worker alive");
             }
             drop(txs);
 
@@ -813,8 +988,11 @@ pub fn drive_elastic_observed<D: ElasticIngest>(
     detector.absorb_shard_run(run);
 
     if enabled {
-        // Registry totals match the report exactly; the per-epoch breakdown
-        // exposes the stealing/resharding story the flat report sums away.
+        // Published after the join from the authoritative per-worker stats,
+        // so registry totals equal the report counters exactly; the
+        // per-epoch breakdown exposes the stealing/resharding story the
+        // flat report sums away (conservation proptested in
+        // `tests/observe_differential.rs`).
         obs.counter("elastic/objects").add(objects);
         obs.counter("elastic/events").add(run.events);
         obs.counter("elastic/slides").add(slides);
@@ -828,9 +1006,17 @@ pub fn drive_elastic_observed<D: ElasticIngest>(
                 .add(ep.slides);
             obs.counter(&format!("elastic/epoch={e}/stolen"))
                 .add(ep.stolen);
-            for (s, sw) in ep.shard_sweeps.iter().enumerate() {
+            for (s, (sweeps, stats)) in ep.shard_sweeps.iter().zip(&ep.shard_stats).enumerate() {
                 obs.counter(&format!("elastic/epoch={e}/shard={s}/sweeps"))
-                    .add(*sw);
+                    .add(*sweeps);
+                obs.counter(&format!("elastic/epoch={e}/shard={s}/cell_touches"))
+                    .add(stats.cell_touches);
+            }
+            for (l, lane) in ep.lane_stats.iter().enumerate() {
+                obs.counter(&format!("elastic/epoch={e}/lane={l}/arrivals"))
+                    .add(lane.arrivals);
+                obs.counter(&format!("elastic/epoch={e}/lane={l}/transitions"))
+                    .add(lane.transitions);
             }
         }
     }
@@ -852,6 +1038,203 @@ pub fn drive_elastic_observed<D: ElasticIngest>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use surge_core::{BurstDetector, Point, SurgeQuery};
+    use surge_exact::{BoundMode, CellCspot};
+
+    use crate::parallel::drive_incremental;
+
+    fn query(alpha: f64) -> SurgeQuery {
+        SurgeQuery::whole_space(RegionSize::new(1.0, 1.0), WindowConfig::equal(400), alpha)
+    }
+
+    fn stream(n: usize) -> Vec<SpatialObject> {
+        let mut state = 0xFEED_FACE_CAFE_BEEFu64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((state >> 33) as f64) / ((1u64 << 31) as f64)
+        };
+        (0..n)
+            .map(|i| {
+                let cluster = i % 4;
+                SpatialObject::new(
+                    i as u64,
+                    1.0 + (i % 5) as f64,
+                    Point::new(cluster as f64 * 2.5 + next(), cluster as f64 * 1.5 + next()),
+                    (i as u64) * 6,
+                )
+            })
+            .collect()
+    }
+
+    /// The static mesh (one epoch, single-round flushes) at 1/2/8 shards.
+    #[test]
+    fn static_mesh_answers_bit_match_incremental_driver() {
+        for alpha in [0.0, 0.5, 0.9] {
+            let objs = stream(1_200);
+
+            let mut seq = CellCspot::with_shards(query(alpha), BoundMode::Combined, 1);
+            let seq_report = drive_incremental(
+                &mut seq,
+                WindowConfig::equal(400),
+                objs.iter().copied(),
+                64,
+                1,
+            );
+
+            for shards in [1usize, 2, 8] {
+                let mut par = CellCspot::with_shards(query(alpha), BoundMode::Combined, shards);
+                let report = drive_elastic(
+                    &mut par,
+                    WindowConfig::equal(400),
+                    objs.iter().copied(),
+                    64,
+                    BalancerPolicy::STATIC,
+                );
+                assert_eq!(report.objects, objs.len() as u64);
+                assert_eq!(report.slides, seq_report.slides);
+                assert_eq!(report.events, seq_report.events);
+                assert_eq!(report.answers.len(), seq_report.answers.len());
+                for (i, (a, b)) in report
+                    .answers
+                    .iter()
+                    .zip(seq_report.answers.iter())
+                    .enumerate()
+                {
+                    match (a, b) {
+                        (Some(x), Some(y)) => {
+                            assert_eq!(
+                                x.score.to_bits(),
+                                y.score.to_bits(),
+                                "alpha {alpha} shards {shards} slide {i}"
+                            );
+                            assert_eq!(x.point.x.to_bits(), y.point.x.to_bits());
+                            assert_eq!(x.point.y.to_bits(), y.point.y.to_bits());
+                            assert_eq!(x.region, y.region);
+                        }
+                        (None, None) => {}
+                        other => panic!("alpha {alpha} shards {shards} slide {i}: {other:?}"),
+                    }
+                }
+                // Same sweeps, same events, same final detector footprint.
+                assert_eq!(report.sweeps, seq_report.jobs);
+                assert_eq!(par.stats().events, seq.stats().events);
+                assert_eq!(par.stats().searches, seq.stats().searches);
+                assert_eq!(par.cell_count(), seq.cell_count());
+                assert_eq!(par.dirty_cell_count(), 0);
+                let epoch = &report.epochs[0];
+                assert_eq!(epoch.shard_stats.len(), par.shard_count());
+                let touches: u64 = epoch.shard_stats.iter().map(|s| s.cell_touches).sum();
+                assert!(touches > 0);
+                // The lanes partition the whole stream: every arrival has
+                // exactly one home lane, and the expansion critical path
+                // shrinks as lanes are added.
+                assert_eq!(epoch.lane_stats.len(), shards);
+                let arrivals: u64 = epoch.lane_stats.iter().map(|s| s.arrivals).sum();
+                assert_eq!(arrivals, report.objects);
+                if shards > 1 {
+                    let total: u64 = epoch.lane_stats.iter().map(|s| s.transitions).sum();
+                    let max = epoch.lane_stats.iter().map(|s| s.transitions).max();
+                    assert!(max.unwrap_or(0) < total);
+                }
+            }
+        }
+    }
+
+    /// A stream whose third arrival is *late* (earlier timestamp than its
+    /// predecessor). Unchecked, the first lane to observe it would panic
+    /// inside a shard worker and the run would die in a cascade of
+    /// `expect("peer alive")` / `expect("worker alive")` panics; the driver
+    /// thread rejects it before broadcast with one precise message.
+    fn drive_late_arrival(shards: usize) {
+        let objs = vec![
+            SpatialObject::new(0, 1.0, Point::new(0.1, 0.1), 100),
+            SpatialObject::new(1, 1.0, Point::new(0.5, 0.5), 200),
+            SpatialObject::new(2, 1.0, Point::new(0.9, 0.9), 150), // late
+        ];
+        let mut d = CellCspot::with_shards(query(0.5), BoundMode::Combined, shards);
+        drive_elastic(
+            &mut d,
+            WindowConfig::equal(400),
+            objs.into_iter(),
+            8,
+            BalancerPolicy::STATIC,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "rejected on the driver thread before broadcast")]
+    fn late_arrival_is_rejected_on_the_driver_thread_1_shard() {
+        drive_late_arrival(1);
+    }
+
+    #[test]
+    #[should_panic(expected = "rejected on the driver thread before broadcast")]
+    fn late_arrival_is_rejected_on_the_driver_thread_2_shards() {
+        drive_late_arrival(2);
+    }
+
+    #[test]
+    #[should_panic(expected = "rejected on the driver thread before broadcast")]
+    fn late_arrival_is_rejected_on_the_driver_thread_8_shards() {
+        drive_late_arrival(8);
+    }
+
+    #[test]
+    #[should_panic(expected = "rejected on the driver thread before broadcast")]
+    fn equal_timestamp_nonincreasing_id_is_rejected_on_the_driver_thread() {
+        let objs = vec![
+            SpatialObject::new(5, 1.0, Point::new(0.1, 0.1), 100),
+            SpatialObject::new(3, 1.0, Point::new(0.5, 0.5), 100), // id ties must increase
+        ];
+        let mut d = CellCspot::with_shards(query(0.5), BoundMode::Combined, 2);
+        drive_elastic(
+            &mut d,
+            WindowConfig::equal(400),
+            objs.into_iter(),
+            8,
+            BalancerPolicy::STATIC,
+        );
+    }
+
+    #[test]
+    fn empty_stream_yields_only_the_terminal_flush() {
+        let mut d = CellCspot::new(query(0.5));
+        let report = drive_elastic(
+            &mut d,
+            WindowConfig::equal(400),
+            std::iter::empty(),
+            32,
+            BalancerPolicy::STATIC,
+        );
+        assert_eq!(report.objects, 0);
+        assert_eq!(report.slides, 1);
+        assert_eq!(report.answers.len(), 1);
+        assert!(report.final_answer.is_none());
+        assert_eq!(report.events, 0);
+    }
+
+    #[test]
+    fn partial_last_slide_and_drain_are_flushed() {
+        let objs = stream(70);
+        let mut d = CellCspot::new(query(0.5));
+        let report = drive_elastic(
+            &mut d,
+            WindowConfig::equal(400),
+            objs.into_iter(),
+            32,
+            BalancerPolicy::STATIC,
+        );
+        assert_eq!(report.slides, 4); // 32 + 32 + 6, then the drain
+        assert_eq!(report.answers.len(), 4);
+        // The last pre-drain answer sees the resident windows; the terminal
+        // one sees them drained.
+        assert!(report.answers[2].is_some());
+        assert!(report.final_answer.is_none());
+        // Every object completed its lifecycle: 3 events each.
+        assert_eq!(report.events, 3 * 70);
+    }
 
     #[test]
     fn steal_plan_balances_to_fair_share() {

@@ -30,7 +30,7 @@
 //!   engine that routes arrivals to lanes and re-merges eagerly; it exposes
 //!   per-lane transition counters (`max_lane_transitions` is the expansion
 //!   critical path reported by `surge_exp window-bench`).
-//! * `drive_sharded` (the [`crate::sharded`] driver) — gives each shard
+//! * the shard mesh ([`crate::elastic::drive_elastic`]) — gives each shard
 //!   worker *one lane*: workers expand their own transitions from the raw
 //!   object stream and exchange lane batches peer-to-peer, so event
 //!   expansion itself runs shard-parallel instead of on the driver thread.
@@ -315,7 +315,8 @@ pub fn merge_lane_states(windows: WindowConfig, lanes: &[WindowLane]) -> EngineS
 /// (differentially proptested in `tests/lane_differential.rs`). Per-lane
 /// transition counters expose the expansion critical path
 /// ([`max_lane_transitions`](Self::max_lane_transitions)) — on a multi-core
-/// host the lanes are what `drive_sharded` distributes across shard workers.
+/// host the lanes are what the shard mesh (`drive_elastic`) distributes
+/// across shard workers.
 #[derive(Debug, Clone)]
 pub struct ShardedWindowEngine {
     windows: WindowConfig,

@@ -22,10 +22,6 @@
 //! * [`parallel`] — fan-out drivers: several detectors over the same event
 //!   stream on worker threads, and per-slide dirty-cell sweep fan-out for
 //!   incremental detectors ([`drive_incremental`]).
-//! * [`sharded`] — the sharded driver ([`drive_sharded`]): per-shard
-//!   workers expand their own window lanes from broadcast object batches,
-//!   exchange lane events peer-to-peer, ingest and sweep — with answers
-//!   bit-identical to the sequential drivers.
 //! * [`runtime`] — the common [`QueryRuntime`] state machine every
 //!   slide-batched driver wraps: a [`QueryCore`] (detector face) bound to a
 //!   [`WindowEngine`] at a slide cadence, with the canonical flush / drain /
@@ -33,17 +29,17 @@
 //! * [`answers`] — ack-released answer retention ([`AnswerLog`],
 //!   [`AnswerSink`]): the bounded replacement for the grow-forever
 //!   `answers: Vec` report pattern.
-//! * [`metrics`] — log-bucketed latency histogram for tail-latency
-//!   reporting.
 //! * [`autopilot`] — the overload autopilot: a [`DegradationController`]
 //!   walks the detector across the exact ⇄ MGAPS ⇄ GAPS tier lattice under
 //!   a latency/residency SLO with hysteresis, warm hand-offs from the live
 //!   windows, and per-answer [`AnswerQuality`] stamps
 //!   ([`drive_autopilot`]).
-//! * [`elastic`] — the elastic mesh ([`drive_elastic`]): work-stealing
-//!   sweeps at every flush, a [`ShardBalancer`] watching per-flush skew,
-//!   and live resharding that doubles the shard count at a slide boundary
-//!   — all bit-identical to the static drivers.
+//! * [`elastic`] — the shard mesh ([`drive_elastic`]): per-shard workers
+//!   expand their own window lanes from broadcast object batches, exchange
+//!   lane events peer-to-peer, ingest and sweep; a [`ShardBalancer`]
+//!   watching per-flush skew turns on work stealing and live resharding
+//!   ([`BalancerPolicy::STATIC`] keeps the mesh fixed) — all bit-identical
+//!   to the sequential drivers.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -55,10 +51,8 @@ pub mod driver;
 pub mod elastic;
 pub mod generator;
 pub mod lanes;
-pub mod metrics;
 pub mod parallel;
 pub mod runtime;
-pub mod sharded;
 pub mod text;
 pub mod window;
 
@@ -75,7 +69,6 @@ pub use elastic::{
 };
 pub use generator::{BurstSpec, Hotspot, StreamGenerator, WorkloadConfig};
 pub use lanes::{merge_lane_states, LaneMerger, LaneStats, ShardedWindowEngine, WindowLane};
-pub use metrics::{LatencyHistogram, LatencySummary};
 pub use parallel::{
     drive_incremental, drive_incremental_observed, drive_incremental_with_sink, drive_parallel,
     sweep_parallel, IncrementalReport, ParallelReport,
@@ -83,6 +76,5 @@ pub use parallel::{
 pub use runtime::{
     FlushOutcome, QueryCore, QueryRuntime, RuntimeCounters, RuntimeProbes, WindowEngine,
 };
-pub use sharded::{drive_sharded, drive_sharded_observed, drive_sharded_with_sink, ShardedReport};
 pub use text::{GeoMessage, KeywordQuery, TextStreamGenerator, Topic, TopicBurst, Vocabulary};
 pub use window::{DirtyCellTracker, EventBatch, SlidingWindowEngine};

@@ -30,9 +30,9 @@ use surge_core::{
     BurstDetector, DetectorStats, Event, IncrementalDetector, RegionAnswer, SpatialObject,
     WindowConfig,
 };
+use surge_observe::{LatencyHistogram, LatencySummary};
 
 use crate::answers::{AnswerLog, AnswerSink, RetainAll};
-use crate::metrics::{LatencyHistogram, LatencySummary};
 use crate::runtime::{FlushOutcome, QueryCore, QueryRuntime};
 use crate::window::{EventBatch, SlidingWindowEngine};
 
@@ -90,7 +90,7 @@ fn worker(mut detector: Box<dyn BurstDetector + Send>, rx: Receiver<Vec<Event>>)
 /// Returns one report per detector, in input order.
 ///
 /// Unlike the replay drivers (`drive`, `drive_slides`, `drive_incremental`,
-/// `drive_sharded`), this harness deliberately does **not** drain the tail
+/// `drive_elastic`), this harness deliberately does **not** drain the tail
 /// windows: its purpose is comparing detectors on identical input, and the
 /// `final_answer` agreement check (all exact detectors must report the same
 /// score) is only meaningful while the windows still hold objects.

@@ -1,6 +1,7 @@
 //! Differential tests for the elastic mesh: work-stealing flushes, the
-//! skew balancer and live resharding against the static sharded driver and
-//! the unsharded incremental driver — bit for bit.
+//! skew balancer and live resharding against the static mesh
+//! ([`BalancerPolicy::STATIC`]) and the unsharded incremental driver — bit
+//! for bit.
 //!
 //! The adversarial workloads are the ones a static mesh handles worst: all
 //! objects homed to one tight spatial cluster (one or two shards own every
@@ -12,9 +13,7 @@
 use proptest::prelude::*;
 use surge_core::{BurstDetector, Point, RegionSize, SpatialObject, SurgeQuery, WindowConfig};
 use surge_exact::{BoundMode, CellCspot};
-use surge_stream::{
-    drive_elastic, drive_incremental, drive_sharded, BalancerPolicy, ElasticReport,
-};
+use surge_stream::{drive_elastic, drive_incremental, BalancerPolicy, ElasticReport};
 use surge_testkit::arb_lattice_stream;
 
 fn query(alpha: f64) -> SurgeQuery {
@@ -142,7 +141,8 @@ fn assert_counter_sanity(name: &str, elastic: &ElasticReport, seq_jobs: u64) {
     assert_eq!(elastic.epochs.len() as u64, elastic.reshards + 1, "{name}");
 }
 
-/// The all-one-hotspot workload: bitwise identity vs both static drivers,
+/// The all-one-hotspot workload: bitwise identity vs the incremental driver
+/// and the static mesh,
 /// with stealing and splitting live.
 #[test]
 fn skewed_workload_matches_static_drivers_bitwise() {
@@ -154,7 +154,13 @@ fn skewed_workload_matches_static_drivers_bitwise() {
         let seq_report = drive_incremental(&mut seq, windows, objs.iter().copied(), 48, 1);
 
         let mut stat = CellCspot::with_shards(query(alpha), BoundMode::Combined, 2);
-        let static_report = drive_sharded(&mut stat, windows, objs.iter().copied(), 48);
+        let static_report = drive_elastic(
+            &mut stat,
+            windows,
+            objs.iter().copied(),
+            48,
+            BalancerPolicy::STATIC,
+        );
 
         let mut ela = CellCspot::with_shards(query(alpha), BoundMode::Combined, 2);
         let report = drive_elastic(&mut ela, windows, objs.iter().copied(), 48, aggressive());
@@ -182,6 +188,39 @@ fn skewed_workload_matches_static_drivers_bitwise() {
         assert_eq!(ela.stats().searches, seq.stats().searches);
         assert_eq!(ela.cell_count(), seq.cell_count());
         assert_eq!(ela.dirty_cell_count(), 0);
+    }
+}
+
+/// The bound-ordered scan is exact across shards. On this uniform stream
+/// some cells' incrementally accumulated bounds round an ulp below the
+/// score recomputed from their candidates. A queue key below the score
+/// would let the sequential early exit stop before a cell that a
+/// shard-local scan still reaches, and the 2-shard mesh would report
+/// another point at 4 flushes. Static and stealing meshes must both match
+/// the sequential driver bit for bit.
+#[test]
+fn two_shard_mesh_matches_incremental_on_ulp_boundary_stream() {
+    let windows = WindowConfig::equal(6_000);
+    let q = SurgeQuery::whole_space(RegionSize::new(0.3, 0.3), windows, 0.5);
+    let objs = surge_testkit::uniform_stream(6_000, 20);
+
+    let mut seq = CellCspot::with_shards(q, BoundMode::Combined, 1);
+    let seq_report = drive_incremental(&mut seq, windows, objs.iter().copied(), 8, 1);
+
+    let stealing = BalancerPolicy {
+        max_shards: 2,
+        ..BalancerPolicy::default()
+    };
+    for policy in [BalancerPolicy::STATIC, stealing] {
+        let mut mesh = CellCspot::with_shards(q, BoundMode::Combined, 2);
+        let report = drive_elastic(&mut mesh, windows, objs.iter().copied(), 8, policy);
+        assert_eq!(report.answers.len(), seq_report.answers.len());
+        assert_bitwise(
+            &format!("{policy:?}"),
+            &report,
+            seq_report.answers.iter().copied(),
+        );
+        assert_counter_sanity("ulp boundary", &report, seq_report.jobs);
     }
 }
 

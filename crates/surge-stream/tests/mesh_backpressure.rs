@@ -1,6 +1,6 @@
 //! Liveness tests for the mesh inbox bound.
 //!
-//! Both sharded drivers give every worker a lane-batch inbox of capacity
+//! The shard mesh gives every worker a lane-batch inbox of capacity
 //! `(2n).max(4)`: a fast peer can run one exchange round ahead of a slow
 //! worker, so up to `2(n-1)` undelivered batches can target one inbox. A
 //! full inbox must *backpressure* (senders block until the slow worker
@@ -16,11 +16,10 @@ use std::thread;
 use std::time::Duration;
 
 use surge_core::{
-    BurstDetector, CellId, Event, Point, RegionAnswer, RegionSize, ShardAnswer, ShardRunStats,
-    ShardWorker, ShardWorkerStats, ShardedIngest, SpatialObject, WindowConfig,
+    BurstDetector, Event, Point, RegionAnswer, RegionSize, ShardAnswer, ShardRunStats, ShardWorker,
+    ShardWorkerStats, ShardedIngest, SpatialObject, WindowConfig,
 };
-use surge_core::{ElasticIngest, ElasticWorker};
-use surge_stream::{drive_elastic, drive_sharded, BalancerPolicy};
+use surge_stream::{drive_elastic, BalancerPolicy};
 
 /// A detector whose shard-0 worker sleeps periodically while applying
 /// events — every other worker runs at full speed and races ahead until the
@@ -49,6 +48,9 @@ struct SlowWorker<'a> {
 }
 
 impl ShardWorker for SlowWorker<'_> {
+    type Job = ();
+    type Outcome = ();
+
     fn on_event(&mut self, _event: &Event) {
         self.events += 1;
         // Sleeping every event would dominate the test's wall clock; every
@@ -57,35 +59,14 @@ impl ShardWorker for SlowWorker<'_> {
             thread::sleep(self.delay);
         }
     }
-
-    fn flush(&mut self) -> Option<ShardAnswer> {
+    fn install_and_best(&mut self, _outcomes: Vec<()>) -> Option<ShardAnswer> {
         None
     }
-
     fn stats(&self) -> ShardWorkerStats {
         ShardWorkerStats {
             cell_touches: self.events,
             sweeps: 0,
         }
-    }
-}
-
-impl ElasticWorker for SlowWorker<'_> {
-    type Job = ();
-    type Outcome = ();
-
-    fn dirty_count(&self) -> u64 {
-        0
-    }
-    fn export_jobs(&mut self, _k: usize) -> Vec<()> {
-        Vec::new()
-    }
-    fn run_jobs(&mut self, _jobs: Vec<()>) -> Vec<()> {
-        Vec::new()
-    }
-    fn sweep_kept(&mut self) {}
-    fn install_and_best(&mut self, _outcomes: Vec<()>) -> Option<ShardAnswer> {
-        None
     }
 }
 
@@ -115,32 +96,17 @@ impl ShardedIngest for SlowMesh {
             })
             .collect()
     }
-
     fn absorb_shard_run(&mut self, run: ShardRunStats) {
         self.events += run.events;
     }
-
     fn region_size(&self) -> RegionSize {
         RegionSize::new(1.0, 1.0)
-    }
-}
-
-impl ElasticIngest for SlowMesh {
-    type Job = ();
-    type Outcome = ();
-    type EWorker<'a> = SlowWorker<'a>;
-
-    fn elastic_workers(&mut self) -> Vec<SlowWorker<'_>> {
-        self.ingest_workers()
     }
     fn mesh_shards(&self) -> usize {
         self.shards
     }
     fn reshard(&mut self, shards: usize) {
         self.shards = shards;
-    }
-    fn outcome_cell(_outcome: &()) -> CellId {
-        (0, 0)
     }
 }
 
@@ -181,11 +147,12 @@ fn sharded_backpressure(shards: usize) {
     let n_objects = 2_000usize;
     let (objects, events) = with_watchdog(Duration::from_secs(60), move || {
         let mut d = SlowMesh::new(shards, Duration::from_millis(2));
-        let report = drive_sharded(
+        let report = drive_elastic(
             &mut d,
             WindowConfig::equal(500),
             spread_stream(n_objects).into_iter(),
             1_000,
+            BalancerPolicy::STATIC,
         );
         (report.objects, report.events)
     });
@@ -207,10 +174,9 @@ fn slow_worker_backpressures_without_deadlock_8_shards() {
 
 #[test]
 fn elastic_mesh_backpressures_without_deadlock() {
-    // The elastic driver shares the exchange mesh; its flush protocol adds
-    // the steal phases. With zero dirty cells the balancer stays quiet
-    // (load < min_load), so this exercises the epoch loop under a slow
-    // worker without resharding noise.
+    // The default policy watches for skew at every flush. With zero dirty
+    // cells the balancer stays quiet (load < min_load), so this exercises
+    // the epoch loop under a slow worker without resharding noise.
     for shards in [2usize, 8] {
         let n_objects = 1_500usize;
         let (objects, events) = with_watchdog(Duration::from_secs(60), move || {

@@ -6,7 +6,8 @@
 //!
 //! This is the central contract of `surge-observe` (see its crate docs):
 //! observability is *reporting only*. The proptests here cover
-//! `drive_slides`, `drive_incremental`, `drive_sharded`, `drive_elastic`
+//! `drive_slides`, `drive_incremental`, `drive_elastic` (static and
+//! elastic policies)
 //! and `drive_autopilot`; `run_checkpointed` has its own differential in
 //! `surge-checkpoint/tests/observe_checkpoint.rs`. Flight-recorder dumps
 //! are also checked for run-to-run determinism — same stream, same dump,
@@ -21,8 +22,8 @@ use surge_exact::{BoundMode, CellCspot};
 use surge_observe::Observe;
 use surge_stream::{
     drive_autopilot_observed, drive_autopilot_with_sink, drive_elastic_observed, drive_incremental,
-    drive_incremental_observed, drive_sharded_observed, drive_slides, drive_slides_observed,
-    AutopilotDetector, BalancerPolicy, RetainAll, SlidingWindowEngine, SloPolicy,
+    drive_incremental_observed, drive_slides, drive_slides_observed, AutopilotDetector,
+    BalancerPolicy, RetainAll, SlidingWindowEngine, SloPolicy,
 };
 use surge_testkit::arb_lattice_stream;
 
@@ -156,12 +157,13 @@ proptest! {
         prop_assert_eq!(builds + reuses, misses, "plan accounting");
     }
 
-    /// `drive_sharded`: bitwise answers observed vs not, registry totals
-    /// conserved against the report, and the per-shard sweep counters sum
-    /// to the *sequential* driver's job count (satellite: per-shard sweeps
-    /// == sequential job count, read from the registry).
+    /// The static mesh (`drive_elastic` under `BalancerPolicy::STATIC`):
+    /// bitwise answers observed vs not, registry totals conserved against
+    /// the report, and the per-shard sweep counters sum to the *sequential*
+    /// driver's job count (per-shard sweeps == sequential job count, read
+    /// from the registry).
     #[test]
-    fn drive_sharded_is_unperturbed_and_conserved(
+    fn static_mesh_is_unperturbed_and_conserved(
         objs in arb_lattice_stream(200),
         alpha_pct in 0u32..100,
         slide_pow in 2u32..6,
@@ -176,42 +178,44 @@ proptest! {
         let seq = drive_incremental(&mut seq_det, windows, objs.iter().copied(), slide, 1);
 
         let mut off_det = CellCspot::with_shards(query(alpha), BoundMode::Combined, shards);
-        let off = drive_sharded_observed(
-            &mut off_det, windows, objs.iter().copied(), slide, &mut RetainAll, &Observe::off(),
+        let off = drive_elastic_observed(
+            &mut off_det, windows, objs.iter().copied(), slide, BalancerPolicy::STATIC,
+            &mut RetainAll, &Observe::off(),
         );
 
         let obs = Observe::enabled();
         let mut on_det = CellCspot::with_shards(query(alpha), BoundMode::Combined, shards);
-        let on = drive_sharded_observed(
-            &mut on_det, windows, objs.iter().copied(), slide, &mut RetainAll, &obs,
+        let on = drive_elastic_observed(
+            &mut on_det, windows, objs.iter().copied(), slide, BalancerPolicy::STATIC,
+            &mut RetainAll, &obs,
         );
 
         prop_assert_eq!(off.answers.len(), on.answers.len());
         for (i, (a, b)) in off.answers.iter().zip(on.answers.iter()).enumerate() {
-            assert_answer_bits(a, b, &format!("sharded slide {i}"));
+            assert_answer_bits(a, b, &format!("static slide {i}"));
         }
-        assert_answer_bits(&off.final_answer, &on.final_answer, "sharded terminal");
+        assert_answer_bits(&off.final_answer, &on.final_answer, "static terminal");
         prop_assert_eq!(off.sweeps, on.sweeps);
         prop_assert_eq!(off_det.stats(), on_det.stats());
 
         let snap = obs.snapshot();
-        prop_assert_eq!(snap.counter("sharded/objects"), Some(on.objects));
-        prop_assert_eq!(snap.counter("sharded/events"), Some(on.events));
-        prop_assert_eq!(snap.counter("sharded/slides"), Some(on.slides));
-        prop_assert_eq!(snap.counter("sharded/sweeps"), Some(on.sweeps));
+        prop_assert_eq!(snap.counter("elastic/objects"), Some(on.objects));
+        prop_assert_eq!(snap.counter("elastic/events"), Some(on.events));
+        prop_assert_eq!(snap.counter("elastic/slides"), Some(on.slides));
+        prop_assert_eq!(snap.counter("elastic/sweeps"), Some(on.sweeps));
         // Per-shard sweeps sum to the total — and to the sequential
         // driver's job count: sharding moves sweeps, it never invents any.
         let shard_sweeps = snap.sum_counters(|p| {
-            p.starts_with("sharded/shard=") && p.ends_with("/sweeps")
+            p.starts_with("elastic/epoch=") && p.contains("/shard=") && p.ends_with("/sweeps")
         });
         prop_assert_eq!(shard_sweeps, on.sweeps, "per-shard sweeps sum to total");
         prop_assert_eq!(shard_sweeps, seq.jobs, "per-shard sweeps == sequential jobs");
         // Lane events partition the engine's event stream.
         let arrivals = snap.sum_counters(|p| {
-            p.starts_with("sharded/lane=") && p.ends_with("/arrivals")
+            p.starts_with("elastic/epoch=") && p.contains("/lane=") && p.ends_with("/arrivals")
         });
         let transitions = snap.sum_counters(|p| {
-            p.starts_with("sharded/lane=") && p.ends_with("/transitions")
+            p.starts_with("elastic/epoch=") && p.contains("/lane=") && p.ends_with("/transitions")
         });
         prop_assert_eq!(arrivals + transitions, on.events, "lane event partition");
     }
@@ -387,11 +391,12 @@ fn flight_dumps_are_deterministic_across_runs_with_ring_wrap() {
     let run = |cap: usize| {
         let obs = Observe::with_flight_capacity(cap);
         let mut det = CellCspot::with_shards(query(0.5), BoundMode::Combined, 4);
-        let report = drive_sharded_observed(
+        let report = drive_elastic_observed(
             &mut det,
             windows,
             objs.iter().copied(),
             16,
+            BalancerPolicy::STATIC,
             &mut RetainAll,
             &obs,
         );

@@ -1,6 +1,7 @@
-//! Differential property tests: the sharded driver (parallel ingest +
-//! per-shard sweeps over broadcast channels) against the unsharded
-//! incremental driver, over randomized object streams.
+//! Differential property tests: the static shard mesh (`drive_elastic`
+//! under [`BalancerPolicy::STATIC`]: parallel ingest + per-shard sweeps
+//! over broadcast channels) against the unsharded incremental driver, over
+//! randomized object streams.
 //!
 //! The contract under test is the strongest one the pipeline makes:
 //! per-slide answers are **bit-identical** — score, point and region — for
@@ -12,7 +13,7 @@
 use proptest::prelude::*;
 use surge_core::{BurstDetector, RegionSize, SurgeQuery, WindowConfig};
 use surge_exact::{BoundMode, CellCspot};
-use surge_stream::{drive_incremental, drive_sharded};
+use surge_stream::{drive_elastic, drive_incremental, BalancerPolicy};
 use surge_testkit::arb_lattice_stream as arb_stream;
 
 fn query(alpha: f64) -> SurgeQuery {
@@ -39,7 +40,7 @@ proptest! {
         let seq = drive_incremental(&mut unsharded, windows, objs.iter().copied(), slide, 1);
 
         let mut sharded = CellCspot::with_shards(query(alpha), BoundMode::Combined, shards);
-        let par = drive_sharded(&mut sharded, windows, objs.iter().copied(), slide);
+        let par = drive_elastic(&mut sharded, windows, objs.iter().copied(), slide, BalancerPolicy::STATIC);
 
         prop_assert_eq!(par.objects, seq.objects);
         prop_assert_eq!(par.events, seq.events);
@@ -93,7 +94,7 @@ proptest! {
         let want = lazy.current().map(|a| a.score);
 
         let mut sharded = CellCspot::with_shards(query(alpha), BoundMode::Combined, 4);
-        let par = drive_sharded(&mut sharded, windows, objs.iter().copied(), 32);
+        let par = drive_elastic(&mut sharded, windows, objs.iter().copied(), 32, BalancerPolicy::STATIC);
         prop_assert!(par.answers.len() >= 2);
         let got = par.answers[par.answers.len() - 2].map(|a| a.score);
 

@@ -1,6 +1,7 @@
 //! Soak test for the persistent cross-sweep pipeline: a 100k-object
 //! generator stream (≈300k window-transition events after the tail drain)
-//! through `drive_sharded` at 1/2/8 shards, asserting
+//! through the static shard mesh (`drive_elastic` under
+//! `BalancerPolicy::STATIC`) at 1/2/8 shards, asserting
 //!
 //! * per-slide answers stay **bit-identical** to the rebuild-mode
 //!   sequential baseline at every shard count, and
@@ -17,7 +18,7 @@
 
 use surge_core::{BurstDetector, RegionSize, SurgeQuery, WindowConfig};
 use surge_exact::{BoundMode, CellCspot, SweepMode};
-use surge_stream::{drive_incremental, drive_sharded};
+use surge_stream::{drive_elastic, drive_incremental, BalancerPolicy};
 use surge_testkit::uniform_stream;
 
 #[test]
@@ -41,7 +42,13 @@ fn soak_100k_sharded_bit_identity_and_churn_bounds() {
     for shards in [1usize, 2, 8] {
         let mut pers =
             CellCspot::with_sweep_mode(query, BoundMode::Combined, SweepMode::Persistent, shards);
-        let report = drive_sharded(&mut pers, windows, objs.iter().copied(), slide);
+        let report = drive_elastic(
+            &mut pers,
+            windows,
+            objs.iter().copied(),
+            slide,
+            BalancerPolicy::STATIC,
+        );
 
         // Full lifecycle: every object's New/Grown/Expired reached the
         // detector (tail drain included).

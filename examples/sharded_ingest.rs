@@ -4,9 +4,10 @@
 //!
 //! 1. the sequential incremental driver (`drive_incremental`) — every event
 //!    is applied on the calling thread, dirty-cell sweeps fan out per slide;
-//! 2. the sharded driver (`drive_sharded`) — the detector splits into
-//!    per-shard workers (spatial-hash sharding of the cell map), events are
-//!    broadcast to every worker over channels, and both ingest *and* sweeps
+//! 2. the static shard mesh (`drive_elastic` under
+//!    `BalancerPolicy::STATIC`) — the detector splits into per-shard workers
+//!    (spatial-hash sharding of the cell map), objects are broadcast to
+//!    every worker over channels, and window expansion, ingest *and* sweeps
 //!    run shard-parallel.
 //!
 //! The two must agree bit-for-bit at every slide boundary — sharding is a
@@ -59,7 +60,13 @@ fn main() {
     let shards = 8;
     let mut par = CellCspot::with_shards(query, BoundMode::Combined, shards);
     let t0 = std::time::Instant::now();
-    let report = drive_sharded(&mut par, windows, objs.iter().copied(), slide);
+    let report = drive_elastic(
+        &mut par,
+        windows,
+        objs.iter().copied(),
+        slide,
+        BalancerPolicy::STATIC,
+    );
     let par_elapsed = t0.elapsed();
 
     // Bit-identity check at every slide boundary.
@@ -75,7 +82,7 @@ fn main() {
             _ => diverged += 1,
         }
     }
-    assert_eq!(diverged, 0, "sharded driver diverged from sequential");
+    assert_eq!(diverged, 0, "shard mesh diverged from sequential");
 
     println!("== sharded ingest vs sequential incremental ==");
     println!(
@@ -104,15 +111,17 @@ fn main() {
     // instead of funnelling a hot spot into one worker. Each worker also
     // expands its own *window lane* (the arrivals homed to its shard), so
     // the event-expansion critical path shrinks with shard count too.
+    // A static mesh runs one epoch: no steals, no reshards.
+    let epoch = &report.epochs[0];
     println!("\n== per-shard load ==");
     println!(
         "{:<8} {:>14} {:>10} {:>10} {:>13}",
         "shard", "cell-touches", "sweeps", "arrivals", "transitions"
     );
-    for (i, (s, l)) in report
+    for (i, (s, l)) in epoch
         .shard_stats
         .iter()
-        .zip(report.lane_stats.iter())
+        .zip(epoch.lane_stats.iter())
         .enumerate()
     {
         println!(
@@ -120,14 +129,15 @@ fn main() {
             i, s.cell_touches, s.sweeps, l.arrivals, l.transitions
         );
     }
-    let total_transitions: u64 = report.lane_stats.iter().map(|l| l.transitions).sum();
+    let total_transitions: u64 = epoch.lane_stats.iter().map(|l| l.transitions).sum();
+    let max_transitions = epoch.lane_stats.iter().map(|l| l.transitions).max();
     println!(
         "expansion critical path: {} of {} transitions on the busiest lane",
-        report.max_lane_transitions(),
+        max_transitions.unwrap_or(0),
         total_transitions
     );
-    let touches: u64 = report.shard_stats.iter().map(|s| s.cell_touches).sum();
-    let max_touches = report
+    let touches: u64 = epoch.shard_stats.iter().map(|s| s.cell_touches).sum();
+    let max_touches = epoch
         .shard_stats
         .iter()
         .map(|s| s.cell_touches)
@@ -137,6 +147,6 @@ fn main() {
         "total {} touches, max shard {:.1}% (ideal {:.1}%)",
         touches,
         100.0 * max_touches as f64 / touches.max(1) as f64,
-        100.0 / report.shard_stats.len().max(1) as f64
+        100.0 / epoch.shard_stats.len().max(1) as f64
     );
 }

@@ -101,17 +101,18 @@ pub mod prelude {
     pub use surge_io::{
         read_events_from, read_objects_from, write_events_to, write_objects_to, LabelledAnswer,
     };
-    pub use surge_observe::{Observe, RegistrySnapshot, TraceDump, TraceEvent};
+    pub use surge_observe::{LatencyHistogram, Observe, RegistrySnapshot, TraceDump, TraceEvent};
     pub use surge_roadnet::{
         grid_city, GridCityConfig, NetBallOracle, NetGapSurge, NetMgapSurge, RoadNetwork,
     };
     pub use surge_serve::{ServeConfig, ServeError, ServeStats, SubId, SurgeServer};
     pub use surge_stream::{
-        drive, drive_autopilot, drive_incremental, drive_parallel, drive_sharded, drive_slides,
-        drive_topk, sweep_parallel, AnswerQuality, AutopilotDetector, AutopilotReport, BurstSpec,
-        Dataset, DirtyCellTracker, EventBatch, GeoMessage, Hotspot, KeywordQuery, LatencyHistogram,
-        ShardedReport, ShardedWindowEngine, SlidingWindowEngine, SloPolicy, StreamGenerator,
-        TextStreamGenerator, Tier, Topic, TopicBurst, Vocabulary, WindowLane, WorkloadConfig,
+        drive, drive_autopilot, drive_elastic, drive_incremental, drive_parallel, drive_slides,
+        drive_topk, sweep_parallel, AnswerQuality, AutopilotDetector, AutopilotReport,
+        BalancerPolicy, BurstSpec, Dataset, DirtyCellTracker, ElasticReport, EventBatch,
+        GeoMessage, Hotspot, KeywordQuery, ShardedWindowEngine, SlidingWindowEngine, SloPolicy,
+        StreamGenerator, TextStreamGenerator, Tier, Topic, TopicBurst, Vocabulary, WindowLane,
+        WorkloadConfig,
     };
     pub use surge_topk::{KCellCspot, KGapSurge, KMgapSurge, NaiveTopK};
 }
